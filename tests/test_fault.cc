@@ -11,6 +11,8 @@
 #include "gen/datasets.hpp"
 #include "runtime/service.hpp"
 #include "test_util.hpp"
+#include "trace/perfetto_export.hpp"
+#include "trace/trace.hpp"
 #include "util/status.hpp"
 
 namespace hh {
@@ -689,6 +691,97 @@ TEST_F(FaultRecoveryTest, WaveCorruptUploadRetriesWithoutPoisoningDedup) {
                          batch.requests[i].label);
   }
 }
+
+// --------------------------------------------------- golden schedules
+
+// Pins the exact recovery schedule — every retry wait, degrade point,
+// cancellation, span, trace instant and report byte — of one faulted batch
+// under the four retry-relevant configurations. The same-seed tests above
+// only compare two runs of one build; these digests were computed once and
+// must survive any refactor of the retry/backoff machinery unchanged.
+struct GoldenCase {
+  bool wave;
+  bool jitter;
+  std::uint64_t digest;
+};
+
+void PrintTo(const GoldenCase& c, std::ostream* os) {
+  *os << "{wave=" << c.wave << ", jitter=" << c.jitter << "}";
+}
+
+class GoldenScheduleTest : public FaultRecoveryTest,
+                           public testing::WithParamInterface<GoldenCase> {};
+
+void mix_text(std::uint64_t& h, const std::string& s) {
+  h = fnv1a64(s.data(), s.size(), h);
+}
+
+TEST_P(GoldenScheduleTest, FaultedBatchScheduleMatchesGoldenDigest) {
+  if (!TraceRecorder::compiled_in()) {
+    GTEST_SKIP() << "the digest covers the trace; tracing compiled out";
+  }
+  const GoldenCase& gc = GetParam();
+  TraceRecorder rec;
+  rec.enable();
+  SpgemmService::Config cfg;
+  cfg.fault_plan.seed = 0x601dec0deULL;
+  cfg.fault_plan.gpu_kernel.rate = 0.35;
+  cfg.fault_plan.h2d.rate = 0.3;
+  cfg.fault_plan.d2h.rate = 0.3;
+  cfg.fault_plan.cpu_worker.rate = 0.15;
+  cfg.keep_inputs_resident = false;  // every request (or wave) uploads
+  cfg.use_workspace_pool = false;    // reuse counts depend on host timing
+  cfg.wave.enabled = gc.wave;
+  cfg.wave.max_requests = 4;
+  cfg.recovery.decorrelated_jitter = gc.jitter;
+  cfg.trace = &rec;
+  SpgemmService service(plat_, pool_, cfg);
+
+  constexpr std::size_t kRequests = 20;
+  for (std::size_t i = 0; i < kRequests; ++i) {
+    SpgemmRequest req{&mat(i), nullptr, {}, "g" + std::to_string(i)};
+    if (i == 5) req.deadline_s = 1e-6;   // cancelled right after Phase I
+    if (i == 13) req.deadline_s = 2e-3;  // cancelled mid-pipeline
+    service.submit(std::move(req));
+  }
+  const BatchResult out = service.drain();
+  ASSERT_EQ(out.requests.size(), kRequests);
+
+  // Every retry path of drain() ran: retries, a degrade, a corrupt upload,
+  // GPU aborts, D2H faults, CPU stalls and a deadline cancellation.
+  const BatchReport& b = out.batch;
+  EXPECT_GT(b.faults.retries, 0);
+  EXPECT_GT(b.faults.gpu_aborts, 0);
+  EXPECT_GT(b.faults.d2h_faults, 0);
+  EXPECT_GT(b.faults.cpu_stalls, 0);
+  EXPECT_GE(b.degraded, 1u);
+  EXPECT_GE(b.deadline_missed, 1u);
+  bool corrupt_upload = false;
+  for (const RequestReport& rr : out.requests) {
+    for (const StageSpan& s : rr.spans) {
+      corrupt_upload |= std::string(s.stage).find("h2d-input-corrupt") !=
+                        std::string::npos;
+    }
+  }
+  EXPECT_TRUE(corrupt_upload);
+
+  std::uint64_t h = kFnv1aOffset;
+  mix_text(h, b.to_json());
+  for (const RequestReport& rr : out.requests) mix_text(h, rr.to_json());
+  mix_text(h, chrome_trace_json(rec));
+  EXPECT_EQ(h, gc.digest) << std::hex << "computed digest 0x" << h;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Pinned, GoldenScheduleTest,
+    testing::Values(GoldenCase{false, false, 0x39b339bccca939d1ULL},
+                    GoldenCase{false, true, 0xa9de53a81bbf40e0ULL},
+                    GoldenCase{true, false, 0x2aa00c5ee73bc393ULL},
+                    GoldenCase{true, true, 0x3336afec9f3d3441ULL}),
+    [](const testing::TestParamInfo<GoldenCase>& info) {
+      return std::string(info.param.wave ? "Wave" : "NoWave") +
+             (info.param.jitter ? "Jitter" : "Ladder");
+    });
 
 TEST_F(FaultRecoveryTest, WaveUploadExhaustionDegradesEveryUser) {
   // A dead link exhausts the shared upload's retries: every request that
