@@ -57,6 +57,7 @@
 #include "obs/perf_baseline.hpp"
 #include "runtime/service.hpp"
 #include "trace/perfetto_export.hpp"
+#include "util/format.hpp"
 
 namespace {
 
@@ -71,12 +72,6 @@ double env_double(const char* name, double fallback) {
     if (v >= 0) return v;
   }
   return fallback;
-}
-
-std::string jnum(double x) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.9g", x);
-  return buf;
 }
 
 }  // namespace

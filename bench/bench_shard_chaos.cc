@@ -30,6 +30,7 @@
 
 #include "bench_common.hpp"
 #include "shard/sharded_service.hpp"
+#include "util/format.hpp"
 
 namespace {
 
@@ -44,12 +45,6 @@ double env_double(const char* name, double fallback) {
     if (v >= 0) return v;
   }
   return fallback;
-}
-
-std::string jnum(double x) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.9g", x);
-  return buf;
 }
 
 int violations = 0;

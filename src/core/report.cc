@@ -1,41 +1,10 @@
 #include "core/report.hpp"
 
-#include <cstdio>
 #include <sstream>
 
+#include "util/format.hpp"
+
 namespace hh {
-namespace {
-
-std::string ms(double seconds) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.3f ms", seconds * 1e3);
-  return buf;
-}
-
-std::string jnum(double x) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.9g", x);
-  return buf;
-}
-
-// Algorithm names are plain ASCII, but escape the JSON specials anyway.
-std::string jstr(const std::string& s) {
-  std::string out = "\"";
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out += c;
-    }
-  }
-  out += '"';
-  return out;
-}
-
-}  // namespace
 
 std::string RunReport::to_string() const {
   std::ostringstream os;
@@ -58,8 +27,9 @@ std::string RunReport::to_string() const {
 
 std::string RunReport::to_json() const {
   std::ostringstream os;
-  os << "{\"algorithm\":" << jstr(algorithm)
-     << ",\"total_s\":" << jnum(total_s)
+  os << "{\"algorithm\":\"";
+  append_escaped(os, algorithm);
+  os << "\",\"total_s\":" << jnum(total_s)
      << ",\"phase1_s\":" << jnum(phase1_s)
      << ",\"phase2_s\":" << jnum(phase2_s)
      << ",\"phase3_s\":" << jnum(phase3_s)

@@ -4,7 +4,7 @@
 
 namespace hh {
 
-double GpuSim::kernel_time(const ProductStats& s) const {
+double GpuSim::kernel_time(const ProductStats& s, bool lead) const {
   if (s.rows == 0) return 0.0;
   const double clock = cm_.clock_ghz * 1e9;
 
@@ -29,34 +29,13 @@ double GpuSim::kernel_time(const ProductStats& s) const {
       static_cast<double>(cm_.warp_width) * cm_.single_warp_cpi / clock;
 
   const double body = std::max({alu_time, mem_time, serial_time});
-  return cm_.derate * body + cm_.kernel_launch_s;
+  const double t = cm_.derate * body + cm_.kernel_launch_s;
+  return lead ? t : std::max(0.0, t - cm_.kernel_launch_s);
 }
 
-DeviceAttempt GpuSim::kernel_attempt(const ProductStats& s,
-                                     FaultInjector* fi) const {
-  const double t = kernel_time(s);
-  if (t <= 0) return {true, false, 0, kNoDeviceOp};
-  if (fi != nullptr) {
-    const FaultDecision d = fi->next(FaultSite::kGpuKernel);
-    if (d.fault) {
-      return {false, false, std::max(cm_.kernel_launch_s, d.fraction * t),
-              d.op};
-    }
-    return {true, false, t, d.op};
-  }
-  return {true, false, t, kNoDeviceOp};
-}
-
-double GpuSim::kernel_time_batched(const ProductStats& s, bool lead) const {
-  const double t = kernel_time(s);
-  if (t <= 0 || lead) return t;
-  return std::max(0.0, t - cm_.kernel_launch_s);
-}
-
-DeviceAttempt GpuSim::kernel_attempt_batched(const ProductStats& s,
-                                             FaultInjector* fi,
-                                             bool lead) const {
-  const double t = kernel_time_batched(s, lead);
+DeviceAttempt GpuSim::kernel_attempt(const ProductStats& s, FaultInjector* fi,
+                                     bool lead) const {
+  const double t = kernel_time(s, lead);
   if (t <= 0) return {true, false, 0, kNoDeviceOp};
   if (fi != nullptr) {
     const FaultDecision d = fi->next(FaultSite::kGpuKernel);

@@ -15,8 +15,11 @@ class GpuSim {
 
   /// Time of one launch of the [13] warp-per-row kernel over the rows
   /// summarized by `s`. Roofline of ALU issue, memory traffic, and the
-  /// serial heaviest-row tail, plus launch overhead.
-  double kernel_time(const ProductStats& s) const;
+  /// serial heaviest-row tail, plus launch overhead. `lead == false` is
+  /// batched (wave) costing: a follower launch rides the already-hot
+  /// dispatch queue behind the wave's first healthy launch and skips the
+  /// launch overhead.
+  double kernel_time(const ProductStats& s, bool lead = true) const;
 
   /// cuSPARSE-like generic kernel (expand–sort–contract): pays sort traffic
   /// proportional to flops. The GPU-only library baseline of Fig. 6.
@@ -30,20 +33,13 @@ class GpuSim {
 
   /// One launch under fault injection (pass nullptr for a guaranteed-healthy
   /// attempt). A transient abort occupies the device for part of the launch
-  /// (never less than the launch overhead) and produces no usable result —
-  /// the caller re-launches or degrades to the CPU path. Launches with no
-  /// work (kernel_time == 0) never consume an injector op, so the fault
-  /// schedule is stable across degenerate partitions.
-  DeviceAttempt kernel_attempt(const ProductStats& s, FaultInjector* fi) const;
-
-  /// Batched (wave) costing: the first healthy launch of a wave pays the
-  /// kernel-launch overhead, followers ride the already-hot dispatch queue
-  /// and skip it. `lead == true` is exactly kernel_time. An abort still
-  /// occupies the device for at least the launch overhead — a re-launch is
-  /// a fresh dispatch.
-  double kernel_time_batched(const ProductStats& s, bool lead) const;
-  DeviceAttempt kernel_attempt_batched(const ProductStats& s,
-                                       FaultInjector* fi, bool lead) const;
+  /// (never less than the launch overhead, even for a follower — a
+  /// re-launch is a fresh dispatch) and produces no usable result — the
+  /// caller re-launches or degrades to the CPU path. Launches with no work
+  /// (kernel_time == 0) never consume an injector op, so the fault schedule
+  /// is stable across degenerate partitions.
+  DeviceAttempt kernel_attempt(const ProductStats& s, FaultInjector* fi,
+                               bool lead = true) const;
 
   const GpuCostModel& model() const { return cm_; }
 

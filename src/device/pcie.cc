@@ -2,9 +2,10 @@
 
 namespace hh {
 
-double PcieChannel::transfer_time(double bytes) const {
+double PcieChannel::transfer_time(double bytes, bool lead) const {
   if (bytes <= 0) return 0.0;
-  return cm_.latency_s + bytes / (cm_.bw_gbps * 1e9 * cm_.efficiency);
+  const double stream = bytes / (cm_.bw_gbps * 1e9 * cm_.efficiency);
+  return lead ? cm_.latency_s + stream : stream;
 }
 
 double PcieChannel::matrix_transfer_time(const CsrMatrix& m) const {
@@ -15,9 +16,9 @@ double PcieChannel::tuple_transfer_time(std::int64_t n) const {
   return transfer_time(16.0 * static_cast<double>(n));
 }
 
-DeviceAttempt PcieChannel::transfer_attempt(double bytes,
-                                            FaultInjector* fi) const {
-  const double t = transfer_time(bytes);
+DeviceAttempt PcieChannel::transfer_attempt(double bytes, FaultInjector* fi,
+                                            bool lead) const {
+  const double t = transfer_time(bytes, lead);
   if (t <= 0) return {true, false, 0, kNoDeviceOp};
   if (fi != nullptr) {
     const FaultDecision d =
@@ -36,44 +37,9 @@ DeviceAttempt PcieChannel::transfer_attempt(double bytes,
 }
 
 DeviceAttempt PcieChannel::matrix_transfer_attempt(const CsrMatrix& m,
-                                                   FaultInjector* fi) const {
-  return transfer_attempt(static_cast<double>(m.byte_size()), fi);
-}
-
-double PcieChannel::transfer_time_batched(double bytes, bool lead) const {
-  if (bytes <= 0) return 0.0;
-  const double stream = bytes / (cm_.bw_gbps * 1e9 * cm_.efficiency);
-  return lead ? cm_.latency_s + stream : stream;
-}
-
-double PcieChannel::matrix_transfer_time_batched(const CsrMatrix& m,
-                                                 bool lead) const {
-  return transfer_time_batched(static_cast<double>(m.byte_size()), lead);
-}
-
-DeviceAttempt PcieChannel::transfer_attempt_batched(double bytes,
-                                                    FaultInjector* fi,
-                                                    bool lead) const {
-  const double t = transfer_time_batched(bytes, lead);
-  if (t <= 0) return {true, false, 0, kNoDeviceOp};
-  if (fi != nullptr) {
-    const FaultDecision d =
-        fi->next(dir_ == PcieDir::kH2D ? FaultSite::kH2D : FaultSite::kD2H);
-    if (d.fault) {
-      const double elapsed =
-          d.corrupt ? t : std::max(cm_.latency_s, d.fraction * t);
-      return {false, d.corrupt, elapsed, d.op};
-    }
-    return {true, false, t, d.op};
-  }
-  return {true, false, t, kNoDeviceOp};
-}
-
-DeviceAttempt PcieChannel::matrix_transfer_attempt_batched(const CsrMatrix& m,
-                                                           FaultInjector* fi,
-                                                           bool lead) const {
-  return transfer_attempt_batched(static_cast<double>(m.byte_size()), fi,
-                                  lead);
+                                                   FaultInjector* fi,
+                                                   bool lead) const {
+  return transfer_attempt(static_cast<double>(m.byte_size()), fi, lead);
 }
 
 DeviceAttempt PcieChannel::tuple_transfer_attempt(std::int64_t n,

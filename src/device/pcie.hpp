@@ -26,7 +26,11 @@ class PcieChannel {
   explicit PcieChannel(const PcieCostModel& cm, PcieDir dir = PcieDir::kH2D)
       : cm_(cm), dir_(dir) {}
 
-  double transfer_time(double bytes) const;
+  /// `lead` selects batched (wave-coalesced) costing: the lead transfer of
+  /// a block pays the link latency that opens the shared reservation;
+  /// followers (`lead == false`) stream back-to-back behind it and pay
+  /// bytes only. A standalone transfer is a lead.
+  double transfer_time(double bytes, bool lead = true) const;
 
   /// Shipping a CSR matrix (indptr + indices + values).
   double matrix_transfer_time(const CsrMatrix& m) const;
@@ -38,24 +42,14 @@ class PcieChannel {
   /// schedule (pass nullptr for a guaranteed-healthy attempt). A hard
   /// failure aborts partway through and wastes `elapsed_s`; a corruption
   /// runs to completion but the payload fails checksum verification — the
-  /// caller must re-send (and, for uploads, drop device residency).
-  DeviceAttempt transfer_attempt(double bytes, FaultInjector* fi) const;
-  DeviceAttempt matrix_transfer_attempt(const CsrMatrix& m,
-                                        FaultInjector* fi) const;
+  /// caller must re-send (and, for uploads, drop device residency). A
+  /// failed follower still keeps the latency floor on its elapsed time —
+  /// the retry re-arbitrates the link.
+  DeviceAttempt transfer_attempt(double bytes, FaultInjector* fi,
+                                 bool lead = true) const;
+  DeviceAttempt matrix_transfer_attempt(const CsrMatrix& m, FaultInjector* fi,
+                                        bool lead = true) const;
   DeviceAttempt tuple_transfer_attempt(std::int64_t n, FaultInjector* fi) const;
-
-  /// Batched (wave-coalesced) costing: the lead transfer of a block pays
-  /// the link latency that opens the shared reservation; followers stream
-  /// back-to-back behind it and pay bytes only. `lead == true` is exactly
-  /// transfer_time. A failed attempt still keeps the latency floor on its
-  /// elapsed time — the retry re-arbitrates the link.
-  double transfer_time_batched(double bytes, bool lead) const;
-  double matrix_transfer_time_batched(const CsrMatrix& m, bool lead) const;
-  DeviceAttempt transfer_attempt_batched(double bytes, FaultInjector* fi,
-                                         bool lead) const;
-  DeviceAttempt matrix_transfer_attempt_batched(const CsrMatrix& m,
-                                                FaultInjector* fi,
-                                                bool lead) const;
 
   PcieDir direction() const { return dir_; }
   const PcieCostModel& model() const { return cm_; }

@@ -7,17 +7,11 @@
 #include <unordered_map>
 
 #include "util/check.hpp"
+#include "util/format.hpp"
 
 namespace hh {
 
 namespace {
-
-// %.9g matches every other deterministic report rendering in the repo.
-std::string jnum(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.9g", v);
-  return buf;
-}
 
 std::string pct(double num, double den) {
   char buf[64];
@@ -170,7 +164,9 @@ std::string CritPathReport::to_json() const {
     const RequestCostBreakdown& b = requests[i];
     const int lane = b.bottleneck_lane();
     os << (i ? "," : "") << "{\"request_id\":" << req_json_id(b.request_id)
-       << ",\"label\":\"" << b.label << "\",\"bottleneck\":\""
+       << ",\"label\":\"";
+    append_escaped(os, b.label);
+    os << "\",\"bottleneck\":\""
        << (lane == kIdleLane ? "wait" : crit_lane_name(lane))
        << "\",\"queue_wait_s\":" << jnum(b.queue_wait_s)
        << ",\"latency_s\":" << jnum(b.latency_s)

@@ -1,20 +1,11 @@
 #include "obs/timeseries.hpp"
 
-#include <cstdio>
 #include <sstream>
 
 #include "util/check.hpp"
+#include "util/format.hpp"
 
 namespace hh {
-namespace {
-
-std::string num(double x) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.9g", x);
-  return buf;
-}
-
-}  // namespace
 
 MetricsTimeline::MetricsTimeline(const MetricsRegistry* registry,
                                  double interval_s)
@@ -49,10 +40,10 @@ bool MetricsTimeline::maybe_snapshot(double now_s) {
 
 std::string MetricsTimeline::to_json() const {
   std::ostringstream os;
-  os << "{\"interval_s\":" << num(interval_s_)
+  os << "{\"interval_s\":" << jnum(interval_s_)
      << ",\"samples\":" << t_s_.size() << ",\"t_s\":[";
   for (std::size_t i = 0; i < t_s_.size(); ++i) {
-    os << (i ? "," : "") << num(t_s_[i]);
+    os << (i ? "," : "") << jnum(t_s_[i]);
   }
   os << "],\"series\":{";
   for (std::size_t si = 0; si < series_.size(); ++si) {
@@ -60,12 +51,12 @@ std::string MetricsTimeline::to_json() const {
     if (si > 0) os << ",";
     os << "\"" << s.name << "\":{\"kind\":\"" << s.kind << "\",\"values\":[";
     for (std::size_t i = 0; i < s.values.size(); ++i) {
-      os << (i ? "," : "") << num(s.values[i]);
+      os << (i ? "," : "") << jnum(s.values[i]);
     }
     os << "],\"deltas\":[";
     for (std::size_t i = 0; i < s.values.size(); ++i) {
       const double d = i == 0 ? s.values[0] : s.values[i] - s.values[i - 1];
-      os << (i ? "," : "") << num(d);
+      os << (i ? "," : "") << jnum(d);
     }
     os << "],\"rates\":[";
     for (std::size_t i = 0; i < s.values.size(); ++i) {
@@ -74,7 +65,7 @@ std::string MetricsTimeline::to_json() const {
         const double dt = t_s_[i] - t_s_[i - 1];
         if (dt > 0) rate = (s.values[i] - s.values[i - 1]) / dt;
       }
-      os << (i ? "," : "") << num(rate);
+      os << (i ? "," : "") << jnum(rate);
     }
     os << "]}";
   }

@@ -94,6 +94,7 @@ struct FaultRecoveryStats {
     return gpu_aborts + h2d_faults + d2h_faults + cpu_stalls;
   }
   void accumulate(const FaultRecoveryStats& o);
+  std::string to_json() const;
 };
 
 /// Per-request accounting: the familiar RunReport (phase durations) plus the
@@ -150,10 +151,8 @@ struct BatchReport {
   // before the executor existed.
   bool wave_enabled = false;
   WaveStats wave;
-  // Critical-path profile (obs/critpath.hpp). critpath_enabled echoes
-  // Config::critpath (on by default); when false the report stays empty and
-  // to_string / to_json omit it entirely.
-  bool critpath_enabled = false;
+  // Critical-path profile (obs/critpath.hpp): every drain attributes its
+  // makespan to cpu/gpu/h2d/d2h/idle and decomposes each request's latency.
   CritPathReport critpath;
   bool backoff_jitter = false;  // RecoveryPolicy::decorrelated_jitter echo
   std::string flame;  // per-resource text flame view of the whole batch
@@ -206,15 +205,6 @@ class SpgemmService {
     // disabled (the default), the service behaves — reports included —
     // byte-identically to before the executor existed.
     WaveConfig wave;
-    // Critical-path profiler (obs/critpath.hpp, docs/observability.md): every
-    // drain records placement provenance (runtime/placement.hpp), checks that
-    // per-resource busy time equals the sum of attributed placements, and
-    // embeds a CritPathReport — per-request latency decomposition plus the
-    // batch critical chain attributing each makespan second to
-    // cpu/gpu/h2d/d2h/idle — in the BatchReport, with critpath.* metrics and
-    // kCritPath trace instants. Pure observability: placements and outputs
-    // are unchanged either way.
-    bool critpath = true;
     // Online autotuning (src/tune/, docs/tuning.md): measured-feedback
     // refinement of cached thresholds plus cost-model calibration. Off by
     // default — a disabled tuner leaves every request, report and metric

@@ -11,10 +11,10 @@
 //     with refcounted eviction);
 //   - the wave's uploads coalesce into one contiguous H2D block reservation
 //     (ResourceTimeline::reserve_block): the link latency is paid by the
-//     lead transfer only (PcieChannel::*_batched);
+//     lead transfer only (the `lead` flag of PcieChannel's transfer calls);
 //   - same-wave Phase II GPU kernels are batched: the first healthy launch
-//     pays the kernel-launch overhead, followers skip it
-//     (GpuSim::kernel_attempt_batched).
+//     pays the kernel-launch overhead, followers skip it (the `lead` flag of
+//     GpuSim::kernel_attempt).
 // Output bits never change: numeric work still executes host-side with the
 // same decomposition, so every request stays bit-identical to the serial
 // reference. With `enabled == false` none of this code runs and the service

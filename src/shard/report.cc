@@ -1,37 +1,10 @@
 #include "shard/report.hpp"
 
-#include <cstdio>
 #include <sstream>
 
+#include "util/format.hpp"
+
 namespace hh {
-namespace {
-
-std::string ms(double seconds) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.3f ms", seconds * 1e3);
-  return buf;
-}
-
-std::string jnum(double x) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.9g", x);
-  return buf;
-}
-
-std::string jbool(bool b) { return b ? "true" : "false"; }
-
-std::string faults_json(const FaultRecoveryStats& f) {
-  std::ostringstream os;
-  os << "{\"gpu_aborts\":" << f.gpu_aborts
-     << ",\"h2d_faults\":" << f.h2d_faults
-     << ",\"d2h_faults\":" << f.d2h_faults
-     << ",\"corruptions\":" << f.corruptions
-     << ",\"cpu_stalls\":" << f.cpu_stalls << ",\"retries\":" << f.retries
-     << ",\"backoff_s\":" << jnum(f.backoff_s) << "}";
-  return os.str();
-}
-
-}  // namespace
 
 const char* to_string(BreakerState s) {
   switch (s) {
@@ -66,7 +39,7 @@ std::string GroupBatchReport::to_string() const {
        << wave.batched_launches << " batched launches, " << wave.evictions
        << " evictions\n";
   }
-  if (critpath_enabled) os << "  critpath: " << critpath.to_string() << "\n";
+  os << "  critpath: " << critpath.to_string() << "\n";
   for (const ShardReport& s : shard_reports) {
     os << "  shard " << s.shard << " [" << s.breaker << "]: " << s.assigned
        << " assigned, " << s.completed << " completed, " << s.degraded
@@ -94,12 +67,11 @@ std::string GroupBatchReport::to_json() const {
      << ",\"p50_latency_s\":" << jnum(p50_latency_s)
      << ",\"p95_latency_s\":" << jnum(p95_latency_s)
      << ",\"p99_latency_s\":" << jnum(p99_latency_s)
-     << ",\"faults\":" << faults_json(faults);
+     << ",\"faults\":" << faults.to_json();
   // Wave fields appear only when the executor is on, keeping disabled
   // groups' JSON byte-identical to before the executor existed.
   if (wave_enabled) os << ",\"wave\":" << wave.to_json();
-  // Same contract for the critical-path profiler (on by default).
-  if (critpath_enabled) os << ",\"critpath\":" << critpath.to_json();
+  os << ",\"critpath\":" << critpath.to_json();
   os << ",\"backoff_jitter\":" << jbool(backoff_jitter)
      << ",\"shard_reports\":[";
   for (std::size_t i = 0; i < shard_reports.size(); ++i) {
@@ -114,14 +86,14 @@ std::string GroupBatchReport::to_json() const {
        << ",\"breaker_opens\":" << s.breaker_opens
        << ",\"rehydrated\":" << jbool(s.rehydrated)
        << ",\"snapshot_rejected\":" << jbool(s.snapshot_rejected)
-       << ",\"faults\":" << faults_json(s.faults)
+       << ",\"faults\":" << s.faults.to_json()
        << ",\"plan_cache\":{\"hits\":" << s.plan_cache.hits
        << ",\"misses\":" << s.plan_cache.misses
        << ",\"evictions\":" << s.plan_cache.evictions
        << ",\"overwrites\":" << s.plan_cache.overwrites
        << ",\"quarantines\":" << s.plan_cache.quarantines << "}";
     if (wave_enabled) os << ",\"wave\":" << s.wave.to_json();
-    if (critpath_enabled) os << ",\"critpath\":" << s.critpath.to_json();
+    os << ",\"critpath\":" << s.critpath.to_json();
     os << "}";
   }
   os << "]}";

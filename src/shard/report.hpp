@@ -80,9 +80,7 @@ struct GroupBatchReport {
   WaveStats wave;
   // Critical-path attribution summed over all shards' drains
   // (obs/critpath.hpp): "critical seconds" per lane across the group, not
-  // wall time — shards drain on independent clocks. Omitted unless
-  // critpath_enabled, following the wave contract.
-  bool critpath_enabled = false;
+  // wall time — shards drain on independent clocks.
   CritPathSummary critpath;
   bool backoff_jitter = false;
   std::vector<ShardReport> shard_reports;  // index == shard

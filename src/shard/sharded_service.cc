@@ -392,9 +392,7 @@ GroupResult ShardedSpgemmService::drain() {
       }
       sh.report.faults.accumulate(br.batch.faults);
       sh.report.wave.accumulate(br.batch.wave);
-      if (br.batch.critpath_enabled) {
-        sh.report.critpath.accumulate(br.batch.critpath.summary());
-      }
+      sh.report.critpath.accumulate(br.batch.critpath.summary());
 
       // Breaker transitions on this round's evidence.
       if (sh.breaker == BreakerState::kHalfOpen) {
@@ -447,7 +445,6 @@ GroupResult ShardedSpgemmService::drain() {
   g.p99_latency_s = percentile(latencies, 0.99);
   g.backoff_jitter = config_.shard.recovery.decorrelated_jitter;
   g.wave_enabled = config_.shard.wave.enabled;
-  g.critpath_enabled = config_.shard.critpath;
   g.shard_reports.reserve(shard_count);
   for (std::size_t s = 0; s < shard_count; ++s) {
     Shard& sh = shards_[s];

@@ -1,9 +1,10 @@
 #include "trace/flame.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstring>
 #include <sstream>
+
+#include "util/format.hpp"
 
 namespace hh {
 namespace {
@@ -31,12 +32,6 @@ void paint(std::string& row, double t0, double t1, double start, double end,
   lo = std::clamp(lo, 0, width - 1);
   hi = std::clamp(hi, lo + 1, width);
   for (int i = lo; i < hi; ++i) row[static_cast<std::size_t>(i)] = glyph;
-}
-
-std::string ms(double seconds) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.3f ms", seconds * 1e3);
-  return buf;
 }
 
 }  // namespace

@@ -3,22 +3,13 @@
 #include <algorithm>
 #include <cctype>
 #include <cmath>
-#include <cstdio>
 #include <sstream>
 
 #include "util/check.hpp"
+#include "util/format.hpp"
 #include "util/status.hpp"
 
 namespace hh {
-namespace {
-
-std::string num(double x) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.9g", x);
-  return buf;
-}
-
-}  // namespace
 
 Histogram::Histogram(std::vector<double> upper_bounds)
     : bounds_(std::move(upper_bounds)), counts_(bounds_.size() + 1, 0) {
@@ -183,16 +174,16 @@ std::string MetricsRegistry::to_string() const {
         os << e.name << " " << counters_[e.index].value() << "\n";
         break;
       case Kind::kGauge:
-        os << e.name << " " << num(gauges_[e.index].value()) << "\n";
+        os << e.name << " " << jnum(gauges_[e.index].value()) << "\n";
         break;
       case Kind::kHistogram: {
         const Histogram& h = histograms_[e.index];
         os << e.name << "_count " << h.count() << "\n";
-        os << e.name << "_sum " << num(h.sum()) << "\n";
+        os << e.name << "_sum " << jnum(h.sum()) << "\n";
         std::int64_t cum = 0;
         for (std::size_t i = 0; i < h.upper_bounds().size(); ++i) {
           cum += h.bucket_counts()[i];
-          os << e.name << "{le=\"" << num(h.upper_bounds()[i]) << "\"} " << cum
+          os << e.name << "{le=\"" << jnum(h.upper_bounds()[i]) << "\"} " << cum
              << "\n";
         }
         os << e.name << "{le=\"+Inf\"} " << h.count() << "\n";
@@ -216,15 +207,15 @@ std::string MetricsRegistry::to_json() const {
         os << counters_[e.index].value();
         break;
       case Kind::kGauge:
-        os << num(gauges_[e.index].value());
+        os << jnum(gauges_[e.index].value());
         break;
       case Kind::kHistogram: {
         const Histogram& h = histograms_[e.index];
-        os << "{\"count\":" << h.count() << ",\"sum\":" << num(h.sum())
-           << ",\"min\":" << num(h.min()) << ",\"max\":" << num(h.max())
+        os << "{\"count\":" << h.count() << ",\"sum\":" << jnum(h.sum())
+           << ",\"min\":" << jnum(h.min()) << ",\"max\":" << jnum(h.max())
            << ",\"bounds\":[";
         for (std::size_t i = 0; i < h.upper_bounds().size(); ++i) {
-          os << (i ? "," : "") << num(h.upper_bounds()[i]);
+          os << (i ? "," : "") << jnum(h.upper_bounds()[i]);
         }
         os << "],\"buckets\":[";
         for (std::size_t i = 0; i < h.bucket_counts().size(); ++i) {

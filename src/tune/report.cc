@@ -3,25 +3,9 @@
 #include <cstdio>
 #include <sstream>
 
+#include "util/format.hpp"
+
 namespace hh {
-
-namespace {
-
-std::string jnum(double x) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", x);
-  return buf;
-}
-
-std::string ms(double seconds) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.3f ms", seconds * 1e3);
-  return buf;
-}
-
-const char* jbool(bool b) { return b ? "true" : "false"; }
-
-}  // namespace
 
 std::string TuneReport::to_string() const {
   std::ostringstream os;
@@ -73,8 +57,8 @@ std::string TuneReport::to_json() const {
       const TuneVariantReport& v = e.variants[k];
       if (k > 0) os << ",";
       os << "{\"t\":" << v.t << ",\"trials\":" << v.trials
-         << ",\"best_s\":" << jnum(v.best_s)
-         << ",\"predicted_s\":" << jnum(v.predicted_s) << "}";
+         << ",\"best_s\":" << jexact(v.best_s)
+         << ",\"predicted_s\":" << jexact(v.predicted_s) << "}";
     }
     os << "]}";
   }
@@ -83,8 +67,8 @@ std::string TuneReport::to_json() const {
     const TuneCalibrationReport& c = calibration[i];
     if (i > 0) os << ",";
     os << "\"" << c.device << "\":{\"samples\":" << c.samples
-       << ",\"ratio\":" << jnum(c.ratio)
-       << ",\"correction\":" << jnum(c.correction)
+       << ",\"ratio\":" << jexact(c.ratio)
+       << ",\"correction\":" << jexact(c.correction)
        << ",\"drift\":" << jbool(c.drift) << "}";
   }
   os << "}}";

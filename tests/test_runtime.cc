@@ -319,6 +319,26 @@ TEST_F(ServiceTest, ReportsAreInternallyConsistent) {
   EXPECT_EQ(rj.find('\n'), std::string::npos);
 }
 
+TEST_F(ServiceTest, LabelsAreJsonEscapedInEveryReport) {
+  // A caller-chosen label with a quote, a backslash and a newline must not
+  // break the JSON of the request report or of the critical-path report.
+  const std::string label = "q\"uo\\te\nline";
+  const std::string escaped = "\"label\":\"q\\\"uo\\\\te\\u000aline\"";
+  SpgemmService service(plat_, pool_);
+  service.submit({&wiki_, nullptr, {}, label});
+  const BatchResult batch = service.drain();
+  ASSERT_EQ(batch.requests.size(), 1u);
+  EXPECT_EQ(batch.requests[0].label, label);
+
+  const std::string rj = batch.requests[0].to_json();
+  EXPECT_NE(rj.find(escaped), std::string::npos) << rj;
+  EXPECT_EQ(rj.find('\n'), std::string::npos);
+  const std::string cj = batch.batch.critpath.to_json();
+  EXPECT_NE(cj.find(escaped), std::string::npos);
+  EXPECT_EQ(cj.find('\n'), std::string::npos);
+  EXPECT_EQ(batch.batch.to_json().find('\n'), std::string::npos);
+}
+
 TEST_F(ServiceTest, SubmitRejectsMalformedRequestsWithTypedErrors) {
   SpgemmService service(plat_, pool_);
 
