@@ -1,12 +1,11 @@
 // Real wall-clock microbenchmarks of the host kernels (google-benchmark):
-// the SpGEMM accumulator variants, the Phase IV primitives, and the
+// the SpGEMM accumulator variants, the Phase IV merge, and the
 // generator. These measure the actual C++ implementations on the build
 // machine — unlike the figure benches, nothing here is simulated.
 #include <benchmark/benchmark.h>
 
+#include "core/hh_stages.hpp"
 #include "gen/powerlaw_gen.hpp"
-#include "primitives/radix_sort.hpp"
-#include "primitives/scan.hpp"
 #include "primitives/tuple_merge.hpp"
 #include "spgemm/gustavson.hpp"
 #include "spgemm/hash_spgemm.hpp"
@@ -63,47 +62,30 @@ void BM_RowColumnSpgemm(benchmark::State& state) {
 }
 BENCHMARK(BM_RowColumnSpgemm)->Arg(2000);
 
-void BM_RadixSortTuples(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  hh::Xoshiro256 rng(7);
-  std::vector<std::uint64_t> keys(n);
-  for (auto& k : keys) k = rng();
-  std::vector<std::uint32_t> payload(n);
-  for (auto _ : state) {
-    auto k = keys;
-    auto p = payload;
-    hh::radix_sort_kv(k, p);
-    benchmark::DoNotOptimize(k.data());
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_RadixSortTuples)->Arg(100000)->Arg(1000000);
-
+// Phase IV on the tuples one HH product really feeds it: the three parts
+// run_phase2 and run_phase3 emit, so a row holds up to two sorted runs. The
+// threshold is the mean row length, which gives every part a share of the
+// tuples (the analytic pick puts nearly all of them in A_H×B_H).
 void BM_TupleMerge(benchmark::State& state) {
   const hh::CsrMatrix a = bench_matrix(4000);
+  const hh::HeteroPlatform platform;
   hh::ThreadPool pool(0);
-  std::vector<hh::index_t> rows(static_cast<std::size_t>(a.rows));
-  for (hh::index_t r = 0; r < a.rows; ++r) rows[r] = r;
-  const hh::CooMatrix coo =
-      hh::partial_product_tuples(a, a, rows, {}, true, pool, nullptr);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(hh::merged_coo_to_csr(coo, pool, nullptr));
+  const hh::PartitionPlan plan = hh::make_partition_plan(a, a, 5, 5, platform);
+  const hh::Phase2Result p2 = hh::run_phase2(a, a, plan, platform, pool);
+  const hh::WorkQueueResult queue =
+      hh::run_phase3(a, a, plan, hh::WorkQueueConfig{}, 0, 0, platform, pool);
+  const hh::CooMatrix* parts[] = {&p2.hh_tuples, &p2.ll_tuples,
+                                  &queue.tuples};
+  std::int64_t tuples = 0;
+  for (const hh::CooMatrix* p : parts) {
+    tuples += static_cast<std::int64_t>(p->nnz());
   }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(coo.nnz()));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(hh::merged_coo_to_csr(parts, pool, nullptr));
+  }
+  state.SetItemsProcessed(state.iterations() * tuples);
 }
 BENCHMARK(BM_TupleMerge);
-
-void BM_ParallelScan(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  std::vector<std::int64_t> in(n, 3), out(n);
-  hh::ThreadPool pool(0);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(hh::parallel_exclusive_scan(in, out, pool));
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_ParallelScan)->Arg(1000000);
 
 void BM_PowerLawGenerator(benchmark::State& state) {
   for (auto _ : state) {

@@ -64,13 +64,11 @@ MergeResult run_phase4(Phase2Result&& p2, WorkQueueResult&& queue,
                        const HeteroPlatform& platform, ThreadPool& pool,
                        WorkspacePool* workspace) {
   MergeResult m;
-  CooMatrix all = std::move(p2.hh_tuples);  // steals the largest buffer
-  all.append(p2.ll_tuples);
-  all.append(queue.tuples);
-  m.c = merged_coo_to_csr(all, pool, &m.merge);
+  const CooMatrix* parts[] = {&p2.hh_tuples, &p2.ll_tuples, &queue.tuples};
+  m.c = merged_coo_to_csr(parts, pool, &m.merge);
   m.cpu_s = platform.cpu().merge_time(m.merge.tuples_in);
   if (workspace != nullptr) {
-    workspace->release_coo(std::move(all));          // hh_tuples' buffer
+    workspace->release_coo(std::move(p2.hh_tuples));
     workspace->release_coo(std::move(p2.ll_tuples));
   }
   return m;

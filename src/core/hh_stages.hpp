@@ -12,7 +12,7 @@
 //   run_phase2                      CPU (A_H×B_H) ∥ GPU (A_L×B_L)
 //   run_phase3                      CPU + GPU jointly (double-ended queue)
 //   D2H tuple shipment              D2H channel
-//   run_phase4                      CPU (radix sort + segmented reduce)
+//   run_phase4                      CPU (row-first stable tuple merge)
 #pragma once
 
 #include "core/partition_plan.hpp"

@@ -41,8 +41,10 @@ double CpuSim::library_time(const ProductStats& s,
 }
 
 double CpuSim::merge_time(std::int64_t tuples) const {
-  // Sort + segmented reduce are regular, bandwidth-friendly passes; the
-  // irregularity derate does not apply here.
+  // The simulated charge stays the paper's Fig. 4 sort plus segmented
+  // reduce, while the host computes the same bits with a row-first merge
+  // (primitives/tuple_merge.cc). Sort + reduce are regular,
+  // bandwidth-friendly passes; the irregularity derate does not apply here.
   const double clock = cm_.clock_ghz * 1e9;
   const double cycles =
       static_cast<double>(tuples) * cm_.merge_cycles_per_tuple;

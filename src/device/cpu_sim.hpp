@@ -31,7 +31,8 @@ class CpuSim {
   /// the exact-CSR two-pass factor.
   double library_time(const ProductStats& s, double b_working_set_bytes) const;
 
-  /// Phase IV: radix sort + segmented reduction over `tuples` tuples.
+  /// Phase IV: the paper's Fig. 4 sort + segmented reduction over `tuples`
+  /// tuples.
   double merge_time(std::int64_t tuples) const;
 
   /// Phase I threshold identification over a row-size histogram.

@@ -38,7 +38,7 @@ CsrMatrix esc_spgemm(const CsrMatrix& a, const CsrMatrix& b,
     }
   });
 
-  // Sort + contract: the Phase IV machinery is exactly an ESC backend.
+  // Sort + contract: the Phase IV merge is exactly an ESC backend.
   return merged_coo_to_csr(expanded, pool, nullptr);
 }
 
