@@ -62,8 +62,8 @@ void BM_RowColumnSpgemm(benchmark::State& state) {
 }
 BENCHMARK(BM_RowColumnSpgemm)->Arg(2000);
 
-// Phase IV on the tuples one HH product really feeds it: the three parts
-// run_phase2 and run_phase3 emit, so a row holds up to two sorted runs. The
+// Phase IV on the tuples one HH product really feeds it: the three row-run
+// parts run_phase2 and run_phase3 emit, so a row holds up to two runs. The
 // threshold is the mean row length, which gives every part a share of the
 // tuples (the analytic pick puts nearly all of them in A_H×B_H).
 void BM_TupleMerge(benchmark::State& state) {
@@ -74,14 +74,14 @@ void BM_TupleMerge(benchmark::State& state) {
   const hh::Phase2Result p2 = hh::run_phase2(a, a, plan, platform, pool);
   const hh::WorkQueueResult queue =
       hh::run_phase3(a, a, plan, hh::WorkQueueConfig{}, 0, 0, platform, pool);
-  const hh::CooMatrix* parts[] = {&p2.hh_tuples, &p2.ll_tuples,
-                                  &queue.tuples};
+  const hh::RowRunBuffer* parts[] = {&p2.hh_tuples, &p2.ll_tuples,
+                                     &queue.tuples};
   std::int64_t tuples = 0;
-  for (const hh::CooMatrix* p : parts) {
+  for (const hh::RowRunBuffer* p : parts) {
     tuples += static_cast<std::int64_t>(p->nnz());
   }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(hh::merged_coo_to_csr(parts, pool, nullptr));
+    benchmark::DoNotOptimize(hh::merged_runs_to_csr(parts, pool, nullptr));
   }
   state.SetItemsProcessed(state.iterations() * tuples);
 }

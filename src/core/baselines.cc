@@ -24,6 +24,12 @@ double input_transfer(const CsrMatrix& a, const CsrMatrix& b,
   return t;
 }
 
+CsrMatrix merge_runs(const RowRunBuffer& tuples, ThreadPool& pool,
+                     MergeStats* stats) {
+  const RowRunBuffer* parts[] = {&tuples};
+  return merged_runs_to_csr(parts, pool, stats);
+}
+
 RunResult finish_workqueue_run(const char* name, WorkQueueResult&& queue,
                                double transfer_in,
                                const HeteroPlatform& platform,
@@ -41,7 +47,7 @@ RunResult finish_workqueue_run(const char* name, WorkQueueResult&& queue,
 
   rep.transfer_out_s =
       platform.link().d2h().tuple_transfer_time(queue.gpu_stats.tuples);
-  res.c = merged_coo_to_csr(queue.tuples, pool, &rep.merge);
+  res.c = merge_runs(queue.tuples, pool, &rep.merge);
   rep.phase4_s = platform.cpu().merge_time(rep.merge.tuples_in);
   rep.output_nnz = res.c.nnz();
   rep.total_s = queue.end_time() + rep.transfer_out_s + rep.phase4_s;
@@ -69,10 +75,11 @@ RunResult run_hipc2012(const CsrMatrix& a, const CsrMatrix& b,
       static_cast<std::size_t>(a.rows - split.split_row));
 
   ProductStats cpu_stats, gpu_stats;
-  CooMatrix cpu_tuples =
-      partial_product_tuples(a, b, cpu_rows, {}, true, pool, &cpu_stats);
-  CooMatrix gpu_tuples =
-      partial_product_tuples(a, b, gpu_rows, {}, true, pool, &gpu_stats);
+  RowRunBuffer cpu_tuples(a.rows, b.cols), gpu_tuples(a.rows, b.cols);
+  partial_product_tuples(a, b, cpu_rows, {}, true, pool, cpu_tuples,
+                         &cpu_stats);
+  partial_product_tuples(a, b, gpu_rows, {}, true, pool, gpu_tuples,
+                         &gpu_stats);
 
   const double ws_full = 12.0 * static_cast<double>(b.nnz());
   const double t_cpu = platform.cpu().kernel_time(cpu_stats, ws_full, true);
@@ -86,8 +93,8 @@ RunResult run_hipc2012(const CsrMatrix& a, const CsrMatrix& b,
   // (paper §III-D); still, GPU tuples cross PCIe and both blocks are
   // assembled into one CSR.
   rep.transfer_out_s = platform.link().d2h().tuple_transfer_time(gpu_stats.tuples);
-  const CooMatrix* parts[] = {&cpu_tuples, &gpu_tuples};
-  res.c = merged_coo_to_csr(parts, pool, &rep.merge);
+  const RowRunBuffer* parts[] = {&cpu_tuples, &gpu_tuples};
+  res.c = merged_runs_to_csr(parts, pool, &rep.merge);
   rep.phase4_s = platform.cpu().merge_time(rep.merge.tuples_in);
   rep.output_nnz = res.c.nnz();
   rep.total_s = HeteroPlatform::overlap(t_cpu, t_gpu) + rep.transfer_out_s +
@@ -132,12 +139,13 @@ RunResult run_cpu_only_mkl(const CsrMatrix& a, const CsrMatrix& b,
   rep.algorithm = "MKL (CPU only)";
   const std::vector<index_t> rows = iota_rows(a.rows);
   ProductStats stats;
-  CooMatrix tuples = partial_product_tuples(a, b, rows, {}, true, pool, &stats);
+  RowRunBuffer tuples(a.rows, b.cols);
+  partial_product_tuples(a, b, rows, {}, true, pool, tuples, &stats);
   const double ws_full = 12.0 * static_cast<double>(b.nnz());
   rep.phase2_cpu_s = platform.cpu().library_time(stats, ws_full);
   rep.phase2_s = rep.phase2_cpu_s;
   rep.flops = stats.flops;
-  res.c = merged_coo_to_csr(tuples, pool, &rep.merge);
+  res.c = merge_runs(tuples, pool, &rep.merge);
   rep.output_nnz = res.c.nnz();
   rep.total_s = rep.phase2_s;  // MKL builds CSR in place: no merge phase
   return res;
@@ -152,11 +160,12 @@ RunResult run_gpu_only_cusparse(const CsrMatrix& a, const CsrMatrix& b,
   rep.transfer_in_s = input_transfer(a, b, platform);
   const std::vector<index_t> rows = iota_rows(a.rows);
   ProductStats stats;
-  CooMatrix tuples = partial_product_tuples(a, b, rows, {}, true, pool, &stats);
+  RowRunBuffer tuples(a.rows, b.cols);
+  partial_product_tuples(a, b, rows, {}, true, pool, tuples, &stats);
   rep.phase2_gpu_s = platform.gpu().generic_time(stats);
   rep.phase2_s = rep.phase2_gpu_s;
   rep.flops = stats.flops;
-  res.c = merged_coo_to_csr(tuples, pool, &rep.merge);
+  res.c = merge_runs(tuples, pool, &rep.merge);
   rep.transfer_out_s =
       platform.link().d2h().tuple_transfer_time(static_cast<std::int64_t>(res.c.nnz()));
   rep.output_nnz = res.c.nnz();
@@ -173,11 +182,12 @@ RunResult run_gpu_only_hipc_kernel(const CsrMatrix& a, const CsrMatrix& b,
   rep.transfer_in_s = input_transfer(a, b, platform);
   const std::vector<index_t> rows = iota_rows(a.rows);
   ProductStats stats;
-  CooMatrix tuples = partial_product_tuples(a, b, rows, {}, true, pool, &stats);
+  RowRunBuffer tuples(a.rows, b.cols);
+  partial_product_tuples(a, b, rows, {}, true, pool, tuples, &stats);
   rep.phase2_gpu_s = platform.gpu().kernel_time(stats);
   rep.phase2_s = rep.phase2_gpu_s;
   rep.flops = stats.flops;
-  res.c = merged_coo_to_csr(tuples, pool, &rep.merge);
+  res.c = merge_runs(tuples, pool, &rep.merge);
   rep.transfer_out_s = platform.link().d2h().tuple_transfer_time(stats.tuples);
   rep.output_nnz = res.c.nnz();
   rep.total_s = rep.transfer_in_s + rep.phase2_s + rep.transfer_out_s +

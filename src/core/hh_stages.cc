@@ -5,33 +5,23 @@
 #include "sched/chunk.hpp"
 
 namespace hh {
-namespace {
-
-CooMatrix empty_tuples(index_t rows, index_t cols, WorkspacePool* workspace) {
-  return workspace != nullptr ? workspace->acquire_coo(rows, cols)
-                              : CooMatrix(rows, cols);
-}
-
-}  // namespace
 
 Phase2Result run_phase2(const CsrMatrix& a, const CsrMatrix& b,
                         const PartitionPlan& plan,
                         const HeteroPlatform& platform, ThreadPool& pool,
                         WorkspacePool* workspace) {
   Phase2Result r;
+  r.hh_tuples = acquire_runs(workspace, a.rows, b.cols);
+  r.ll_tuples = acquire_runs(workspace, a.rows, b.cols);
   // A product with an empty side contributes nothing; skip it so degenerate
   // partitions charge no phantom per-row cost.
   if (plan.a.high_count() > 0 && plan.b.high_count() > 0) {
-    r.hh_tuples = partial_product_tuples(a, b, plan.a.high_rows, plan.b.is_high,
-                                         true, pool, &r.hh_stats, workspace);
-  } else {
-    r.hh_tuples = empty_tuples(a.rows, b.cols, workspace);
+    partial_product_tuples(a, b, plan.a.high_rows, plan.b.is_high, true, pool,
+                           r.hh_tuples, &r.hh_stats, workspace);
   }
   if (plan.a.low_count() > 0 && plan.b.low_count() > 0) {
-    r.ll_tuples = partial_product_tuples(a, b, plan.a.low_rows, plan.b.is_high,
-                                         false, pool, &r.ll_stats, workspace);
-  } else {
-    r.ll_tuples = empty_tuples(a.rows, b.cols, workspace);
+    partial_product_tuples(a, b, plan.a.low_rows, plan.b.is_high, false, pool,
+                           r.ll_tuples, &r.ll_stats, workspace);
   }
   r.cpu_s = platform.cpu().kernel_time(r.hh_stats, plan.ws_bh_bytes, true,
                                        /*blockable=*/true);
@@ -64,13 +54,12 @@ MergeResult run_phase4(Phase2Result&& p2, WorkQueueResult&& queue,
                        const HeteroPlatform& platform, ThreadPool& pool,
                        WorkspacePool* workspace) {
   MergeResult m;
-  const CooMatrix* parts[] = {&p2.hh_tuples, &p2.ll_tuples, &queue.tuples};
-  m.c = merged_coo_to_csr(parts, pool, &m.merge);
+  const RowRunBuffer* parts[] = {&p2.hh_tuples, &p2.ll_tuples, &queue.tuples};
+  m.c = merged_runs_to_csr(parts, pool, &m.merge);
   m.cpu_s = platform.cpu().merge_time(m.merge.tuples_in);
-  if (workspace != nullptr) {
-    workspace->release_coo(std::move(p2.hh_tuples));
-    workspace->release_coo(std::move(p2.ll_tuples));
-  }
+  release_runs(workspace, std::move(p2.hh_tuples));
+  release_runs(workspace, std::move(p2.ll_tuples));
+  release_runs(workspace, std::move(queue.tuples));
   return m;
 }
 

@@ -1,18 +1,22 @@
 // Phase IV of Algorithm HH-CPU: combine the ⟨r, c, v⟩ tuples produced by the
 // four partial products into the final CSR matrix (paper §III-D, Fig. 4).
 //
-// The host runs a row-first stable merge: count tuples per row, scatter them
-// stably into row buckets, give each row a stable column order, then sum each
-// run of equal columns from value_t{0} in input order. The result is the
-// same, bit for bit, as a stable global sort by (r, c) followed by Fig. 4's
-// per-key reduction; the simulated Phase IV charge (CpuSim::merge_time) is
-// still that sort plus reduce.
+// The partial products arrive as row-run buffers (sparse/row_runs.hpp), one
+// per part, and every output row is the merge of its few sorted runs. The
+// host counts runs per row, then makes two parallel passes over the rows:
+// one counts each row's distinct columns, the next writes the row straight
+// into the CSR, summing each column from value_t{0} in part order. Unordered
+// tuples (a CooMatrix) take a row-first stable merge instead. Either result
+// is the same, bit for bit, as a stable global sort by (r, c) of the tuples
+// in input order followed by Fig. 4's per-key reduction; the simulated
+// Phase IV charge (CpuSim::merge_time) is still that sort plus reduce.
 #pragma once
 
 #include <span>
 
 #include "sparse/coo.hpp"
 #include "sparse/csr.hpp"
+#include "sparse/row_runs.hpp"
 #include "util/thread_pool.hpp"
 
 namespace hh {
@@ -29,9 +33,11 @@ CsrMatrix merged_coo_to_csr(const CooMatrix& coo, MergeStats* stats = nullptr);
 CsrMatrix merged_coo_to_csr(const CooMatrix& coo, ThreadPool& pool,
                             MergeStats* stats = nullptr);
 
-/// Merge of the concatenation of `parts`, in order, without building it.
-/// Every part must have the same shape.
-CsrMatrix merged_coo_to_csr(std::span<const CooMatrix* const> parts,
-                            ThreadPool& pool, MergeStats* stats = nullptr);
+/// Merge of the runs of `parts`, taken in part order and, within a part, in
+/// buffer order. Every part must have the same shape. Throws CheckError if a
+/// run's row or column is out of range or its columns are not ascending and
+/// distinct.
+CsrMatrix merged_runs_to_csr(std::span<const RowRunBuffer* const> parts,
+                             ThreadPool& pool, MergeStats* stats = nullptr);
 
 }  // namespace hh

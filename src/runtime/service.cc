@@ -951,10 +951,8 @@ BatchResult SpgemmService::drain() {
     // buffer). A request cancelled before Phase III releases the Phase II
     // buffers directly.
     if (p2_live && !q_ran) {
-      if (ws != nullptr) {
-        ws->release_coo(std::move(p2.hh_tuples));
-        ws->release_coo(std::move(p2.ll_tuples));
-      }
+      release_runs(ws, std::move(p2.hh_tuples));
+      release_runs(ws, std::move(p2.ll_tuples));
       p2_live = false;
     } else if (p2_live) {
       merged = run_phase4(std::move(p2), std::move(q), platform_, pool_, ws);

@@ -8,11 +8,12 @@ namespace hh {
 namespace {
 
 // Execute one dequeued unit: group its entries by tag (units are usually
-// single-tag since each side is homogeneous) and run the masked kernel.
+// single-tag since each side is homogeneous) and run the masked kernel,
+// appending its runs to `tuples_out`.
 void run_unit(const CsrMatrix& a, const CsrMatrix& b,
               std::span<const WorkEntry> unit,
               std::span<const MaskSpec> masks, ThreadPool& pool,
-              WorkspacePool* workspace, CooMatrix& tuples_out,
+              WorkspacePool* workspace, RowRunBuffer& tuples_out,
               ProductStats& unit_stats,
               std::vector<ProductStats>& per_tag_stats) {
   std::vector<index_t> rows;
@@ -26,11 +27,8 @@ void run_unit(const CsrMatrix& a, const CsrMatrix& b,
     }
     const MaskSpec& mask = masks[static_cast<std::size_t>(tag)];
     ProductStats stats;
-    CooMatrix tuples =
-        partial_product_tuples(a, b, rows, mask.b_mask, mask.b_mask_value,
-                               pool, &stats, workspace);
-    tuples_out.append(tuples);
-    if (workspace != nullptr) workspace->release_coo(std::move(tuples));
+    partial_product_tuples(a, b, rows, mask.b_mask, mask.b_mask_value, pool,
+                           tuples_out, &stats, workspace);
     unit_stats.accumulate(stats);
     per_tag_stats[static_cast<std::size_t>(tag)].accumulate(stats);
   }
@@ -94,7 +92,7 @@ WorkQueueResult run_workqueue(const CsrMatrix& a, const CsrMatrix& b,
   }
 
   WorkQueueResult res;
-  res.tuples = CooMatrix(a.rows, b.cols);
+  res.tuples = acquire_runs(workspace, a.rows, b.cols);
   res.cpu_end = cpu_start;
   res.gpu_end = gpu_start;
 

@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "device/platform.hpp"
-#include "sparse/coo.hpp"
 #include "sparse/csr.hpp"
 #include "spgemm/spgemm.hpp"
 #include "util/thread_pool.hpp"
@@ -53,7 +52,8 @@ struct WorkQueueConfig {
 };
 
 struct WorkQueueResult {
-  CooMatrix tuples;  // all tuples, CPU units first then GPU units (sim order)
+  RowRunBuffer tuples;  // every unit's runs, in dequeue (sim) order; pooled
+                       // when a workspace is given
   ProductStats cpu_stats;
   ProductStats gpu_stats;
   double cpu_busy = 0;  // time the CPU spent on queue units
@@ -77,7 +77,8 @@ WorkQueueConfig resolve_queue_config(WorkQueueConfig cfg, index_t a_rows);
 /// (they may differ: a device joins the queue when its Phase II product is
 /// done). Unit sizes of 0 are resolved via resolve_queue_config().
 /// Deterministic. `workspace` optionally pools the kernels' accumulators and
-/// tuple buffers (see spgemm/workspace.hpp).
+/// tuple buffers (see spgemm/workspace.hpp); `tuples` is then drawn from it,
+/// and the caller hands it back once merged.
 WorkQueueResult run_workqueue(const CsrMatrix& a, const CsrMatrix& b,
                               std::span<const WorkEntry> entries,
                               std::span<const MaskSpec> masks,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <memory>
 #include <vector>
 
 #include "spgemm/gustavson.hpp"
@@ -68,13 +69,13 @@ void ProductStats::accumulate(const ProductStats& o) {
 
 namespace {
 
-// Per-block worker: SPA-accumulate the assigned a_rows slice, appending
-// tuples to a local COO and aggregating stats.
+// Per-block worker: SPA-accumulate the assigned a_rows slice, appending one
+// run per row to `out` and aggregating stats.
 void partial_rows(const CsrMatrix& a, const CsrMatrix& b,
                   std::span<const index_t> a_rows,
                   std::span<const std::uint8_t> b_mask, bool b_mask_value,
                   std::size_t lo, std::size_t hi, SpaWorkspace& ws,
-                  CooMatrix& out, ProductStats& stats) {
+                  RowRunBuffer& out, ProductStats& stats) {
   ws.begin_product(b.cols);
   std::vector<value_t>& acc = ws.acc;
   std::vector<std::int64_t>& marker = ws.marker;
@@ -104,7 +105,12 @@ void partial_rows(const CsrMatrix& a, const CsrMatrix& b,
       }
     }
     std::sort(cols.begin(), cols.end());
-    for (const index_t col : cols) out.push(i, col, acc[col]);
+    const std::size_t base = out.val.size();
+    out.col.insert(out.col.end(), cols.begin(), cols.end());
+    out.val.resize(base + cols.size());
+    value_t* val = out.val.data() + base;
+    for (const index_t col : cols) *val++ = acc[col];
+    out.end_run(i);
 
     ++stats.rows;
     stats.flops += row_flops;
@@ -120,15 +126,16 @@ void partial_rows(const CsrMatrix& a, const CsrMatrix& b,
 
 }  // namespace
 
-CooMatrix partial_product_tuples(const CsrMatrix& a, const CsrMatrix& b,
-                                 std::span<const index_t> a_rows,
-                                 std::span<const std::uint8_t> b_mask,
-                                 bool b_mask_value, ThreadPool& pool,
-                                 ProductStats* stats,
-                                 WorkspacePool* workspace) {
+void partial_product_tuples(const CsrMatrix& a, const CsrMatrix& b,
+                            std::span<const index_t> a_rows,
+                            std::span<const std::uint8_t> b_mask,
+                            bool b_mask_value, ThreadPool& pool,
+                            RowRunBuffer& out, ProductStats* stats,
+                            WorkspacePool* workspace) {
   HH_CHECK_MSG(a.cols == b.rows, "incompatible shapes for product");
   HH_CHECK(b_mask.empty() ||
            b_mask.size() == static_cast<std::size_t>(b.rows));
+  HH_CHECK(out.rows == a.rows && out.cols == b.cols);
 
   const auto n = static_cast<std::int64_t>(a_rows.size());
   const std::int64_t blocks =
@@ -138,44 +145,37 @@ CooMatrix partial_product_tuples(const CsrMatrix& a, const CsrMatrix& b,
   const std::int64_t chunk = n == 0 ? 1 : (n + blocks - 1) / blocks;
   const std::int64_t nblocks = n == 0 ? 0 : (n + chunk - 1) / chunk;
 
-  std::vector<CooMatrix> block_out;
-  block_out.reserve(static_cast<std::size_t>(nblocks));
+  // Every workspace and block buffer is taken here, on the calling thread in
+  // block order, and handed back the same way below, so the pool's counters
+  // do not depend on how many pool threads ran at once. Block 0 writes
+  // straight into `out`; each later block fills its own buffer, appended in
+  // block order → output independent of the number of pool threads.
+  std::vector<std::unique_ptr<SpaWorkspace>> spa;
+  std::vector<RowRunBuffer> later;
   for (std::int64_t blk = 0; blk < nblocks; ++blk) {
-    block_out.push_back(workspace != nullptr
-                            ? workspace->acquire_coo(a.rows, b.cols)
-                            : CooMatrix(a.rows, b.cols));
+    spa.push_back(workspace != nullptr ? workspace->acquire_spa()
+                                       : std::make_unique<SpaWorkspace>());
+    if (blk > 0) later.push_back(acquire_runs(workspace, a.rows, b.cols));
   }
   std::vector<ProductStats> block_stats(static_cast<std::size_t>(nblocks));
 
   pool.parallel_for(nblocks, [&](std::int64_t b0, std::int64_t b1) {
-    // One SPA workspace per worker slice; pooled when a pool is supplied.
-    std::unique_ptr<SpaWorkspace> ws = workspace != nullptr
-                                           ? workspace->acquire_spa()
-                                           : std::make_unique<SpaWorkspace>();
     for (std::int64_t blk = b0; blk < b1; ++blk) {
       const auto lo = static_cast<std::size_t>(blk * chunk);
       const auto hi = static_cast<std::size_t>(std::min(n, (blk + 1) * chunk));
-      partial_rows(a, b, a_rows, b_mask, b_mask_value, lo, hi, *ws,
-                   block_out[blk], block_stats[blk]);
+      partial_rows(a, b, a_rows, b_mask, b_mask_value, lo, hi, *spa[blk],
+                   blk == 0 ? out : later[blk - 1], block_stats[blk]);
     }
-    if (workspace != nullptr) workspace->release_spa(std::move(ws));
   });
 
-  // Concatenate in block order → deterministic output independent of the
-  // number of pool threads.
-  CooMatrix out = workspace != nullptr ? workspace->acquire_coo(a.rows, b.cols)
-                                       : CooMatrix(a.rows, b.cols);
-  std::size_t total = 0;
-  for (const auto& blk : block_out) total += blk.nnz();
-  out.reserve(total);
   ProductStats agg;
-  for (std::int64_t blk = 0; blk < nblocks; ++blk) {
-    out.append(block_out[blk]);
-    agg.accumulate(block_stats[blk]);
-    if (workspace != nullptr) workspace->release_coo(std::move(block_out[blk]));
+  for (const ProductStats& s : block_stats) agg.accumulate(s);
+  for (RowRunBuffer& buf : later) out.append(buf);
+  if (workspace != nullptr) {
+    for (auto& ws : spa) workspace->release_spa(std::move(ws));
+    for (RowRunBuffer& buf : later) workspace->release_runs(std::move(buf));
   }
   if (stats != nullptr) *stats = agg;
-  return out;
 }
 
 ProductStats estimate_partial_product(const CsrMatrix& a, const CsrMatrix& b,

@@ -7,8 +7,8 @@
 #include <span>
 #include <string>
 
-#include "sparse/coo.hpp"
 #include "sparse/csr.hpp"
+#include "sparse/row_runs.hpp"
 #include "spgemm/workspace.hpp"
 #include "util/thread_pool.hpp"
 
@@ -61,19 +61,19 @@ std::int64_t shared_accum_cap();
 void set_shared_accum_cap(std::int64_t cap);
 
 /// Compute tuples of A(rows ∈ a_rows, :) × B restricted to contributions
-/// through rows j of B with b_mask[j] == b_mask_value (empty mask = all j).
-/// Tuples are emitted row-sorted and column-sorted, deterministically.
-/// When `workspace` is non-null the SPA accumulators and tuple buffers are
-/// drawn from (and returned to) the pool instead of heap-allocated per call;
-/// the returned CooMatrix is pool-backed and may be handed back via
-/// WorkspacePool::release_coo once consumed. Output is bit-identical either
-/// way.
-CooMatrix partial_product_tuples(const CsrMatrix& a, const CsrMatrix& b,
-                                 std::span<const index_t> a_rows,
-                                 std::span<const std::uint8_t> b_mask,
-                                 bool b_mask_value, ThreadPool& pool,
-                                 ProductStats* stats = nullptr,
-                                 WorkspacePool* workspace = nullptr);
+/// through rows j of B with b_mask[j] == b_mask_value (empty mask = all j),
+/// appending one run per listed row, in a_rows order, to `out` (shaped
+/// a.rows × b.cols). Each run's columns are ascending and distinct; the
+/// output is deterministic and independent of the pool size. When
+/// `workspace` is non-null the SPA accumulators and the extra block buffers
+/// of a multi-block call are drawn from (and returned to) the pool instead of
+/// heap-allocated per call. Output is bit-identical either way.
+void partial_product_tuples(const CsrMatrix& a, const CsrMatrix& b,
+                            std::span<const index_t> a_rows,
+                            std::span<const std::uint8_t> b_mask,
+                            bool b_mask_value, ThreadPool& pool,
+                            RowRunBuffer& out, ProductStats* stats = nullptr,
+                            WorkspacePool* workspace = nullptr);
 
 /// Structure-only estimate of the same invocation (no numeric work):
 /// flops/a_nnz/warp_alu/max_row_flops are exact; tuples and the shared/global

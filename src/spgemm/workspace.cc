@@ -39,33 +39,38 @@ void WorkspacePool::release_spa(std::unique_ptr<SpaWorkspace> ws) {
   free_spa_.push_back(std::move(ws));
 }
 
-CooMatrix WorkspacePool::acquire_coo(index_t rows, index_t cols) {
+RowRunBuffer WorkspacePool::acquire_runs(index_t rows, index_t cols) {
   std::lock_guard<std::mutex> lock(mu_);
   ++stats_.coo_acquires;
   ++stats_.coo_live;
-  if (!free_coo_.empty()) {
-    ++stats_.coo_reuses;
-    CooMatrix coo = std::move(free_coo_.back());
-    free_coo_.pop_back();
-    coo.rows = rows;
-    coo.cols = cols;
-    coo.r.clear();
-    coo.c.clear();
-    coo.v.clear();
-    return coo;
-  }
-  return CooMatrix(rows, cols);
+  if (free_runs_.empty()) return RowRunBuffer(rows, cols);
+  ++stats_.coo_reuses;
+  RowRunBuffer buf = std::move(free_runs_.back());
+  free_runs_.pop_back();
+  buf.rows = rows;
+  buf.cols = cols;
+  buf.clear();
+  return buf;
 }
 
-void WorkspacePool::release_coo(CooMatrix&& coo) {
+void WorkspacePool::release_runs(RowRunBuffer&& buf) {
   std::lock_guard<std::mutex> lock(mu_);
   --stats_.coo_live;
-  free_coo_.push_back(std::move(coo));
+  free_runs_.push_back(std::move(buf));
 }
 
 WorkspacePool::Stats WorkspacePool::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   return stats_;
+}
+
+RowRunBuffer acquire_runs(WorkspacePool* pool, index_t rows, index_t cols) {
+  return pool != nullptr ? pool->acquire_runs(rows, cols)
+                         : RowRunBuffer(rows, cols);
+}
+
+void release_runs(WorkspacePool* pool, RowRunBuffer&& buf) {
+  if (pool != nullptr) pool->release_runs(std::move(buf));
 }
 
 }  // namespace hh

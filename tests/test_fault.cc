@@ -512,16 +512,9 @@ TEST_F(FaultRecoveryTest, SameSeedReplaysIdenticalScheduleAndReports) {
   const BatchResult second = run_once();
 
   // Deterministic replay: identical fault schedule, identical recovery
-  // decisions, identical spans and timings — down to the rendered JSON.
-  // Workspace-pool reuse counts are the one exception: they reflect how
-  // many host threads held a buffer simultaneously (workers plus the
-  // work-helping parallel_for caller), not the simulated schedule, so they
-  // are zeroed out of the comparison.
-  BatchReport fb = first.batch;
-  BatchReport sb = second.batch;
-  fb.workspace = {};
-  sb.workspace = {};
-  EXPECT_EQ(fb.to_json(), sb.to_json());
+  // decisions, identical spans and timings — down to the rendered JSON,
+  // workspace-pool counts included.
+  EXPECT_EQ(first.batch.to_json(), second.batch.to_json());
   ASSERT_EQ(first.requests.size(), second.requests.size());
   for (std::size_t i = 0; i < first.requests.size(); ++i) {
     EXPECT_EQ(first.requests[i].to_json(), second.requests[i].to_json());
@@ -551,12 +544,8 @@ TEST_F(FaultRecoveryTest, DecorrelatedJitterIsDeterministicAndCapped) {
   const BatchResult b = run_once();
 
   // The jitter stream is seeded, not wall-clock: same-seed replays render
-  // byte-identical reports (workspace reuse excluded, as elsewhere).
-  BatchReport ab = a.batch;
-  BatchReport bb = b.batch;
-  ab.workspace = {};
-  bb.workspace = {};
-  EXPECT_EQ(ab.to_json(), bb.to_json());
+  // byte-identical reports.
+  EXPECT_EQ(a.batch.to_json(), b.batch.to_json());
 
   // Retries happened, every wait respected the cap, the knob is echoed.
   EXPECT_GT(a.batch.faults.retries, 0);
@@ -589,10 +578,8 @@ TEST_F(FaultRecoveryTest, JitterKnobOffPreservesLegacyBackoffExactly) {
   // differs only in the (unused) jitter seed behaves byte-identically.
   SpgemmService::Config off = base;
   off.recovery.jitter_seed = 0x123456789abcdefULL;
-  BatchReport base_b = run_with(base).batch;
-  BatchReport off_b = run_with(off).batch;
-  base_b.workspace = {};
-  off_b.workspace = {};
+  const BatchReport base_b = run_with(base).batch;
+  const BatchReport off_b = run_with(off).batch;
   EXPECT_EQ(base_b.to_json(), off_b.to_json());
   EXPECT_FALSE(base_b.backoff_jitter);
 
@@ -616,13 +603,7 @@ TEST_F(FaultRecoveryTest, FaultFreePlanIsUnperturbedByTheFaultMachinery) {
   }
   const BatchResult a = plain.drain();
   const BatchResult b = faultless.drain();
-  // Workspace-pool reuse counts depend on host thread timing, not on the
-  // schedule (see the replay test above) — zero them out of the comparison.
-  BatchReport ab = a.batch;
-  BatchReport bb = b.batch;
-  ab.workspace = {};
-  bb.workspace = {};
-  EXPECT_EQ(ab.to_json(), bb.to_json());
+  EXPECT_EQ(a.batch.to_json(), b.batch.to_json());
   EXPECT_EQ(a.requests[0].to_json(), b.requests[0].to_json());
   EXPECT_EQ(faultless.fault_injector().counters(FaultSite::kGpuKernel).ops,
             0u);
@@ -730,7 +711,7 @@ TEST_P(GoldenScheduleTest, FaultedBatchScheduleMatchesGoldenDigest) {
   cfg.fault_plan.d2h.rate = 0.3;
   cfg.fault_plan.cpu_worker.rate = 0.15;
   cfg.keep_inputs_resident = false;  // every request (or wave) uploads
-  cfg.use_workspace_pool = false;    // reuse counts depend on host timing
+  cfg.use_workspace_pool = false;    // digests taken with no pool counts
   cfg.wave.enabled = gc.wave;
   cfg.wave.max_requests = 4;
   cfg.recovery.decorrelated_jitter = gc.jitter;

@@ -22,21 +22,38 @@ std::vector<index_t> all_rows(index_t n) {
   return rows;
 }
 
+// The runs of one masked product in a fresh buffer.
+RowRunBuffer product_runs(const CsrMatrix& a, const CsrMatrix& b,
+                          std::span<const index_t> rows,
+                          std::span<const std::uint8_t> mask, bool mask_value,
+                          ThreadPool& pool, ProductStats* stats) {
+  RowRunBuffer out(a.rows, b.cols);
+  partial_product_tuples(a, b, rows, mask, mask_value, pool, out, stats);
+  return out;
+}
+
+CsrMatrix merge(const RowRunBuffer& runs) {
+  const RowRunBuffer* parts[] = {&runs};
+  return merged_runs_to_csr(parts, ThreadPool::global());
+}
+
 TEST(PartialProduct, UnmaskedEqualsFullProduct) {
   const CsrMatrix a = test::random_csr(25, 20, 0.25, 301);
   const CsrMatrix b = test::random_csr(20, 22, 0.3, 302);
   ThreadPool pool(2);
   ProductStats stats;
-  const CooMatrix coo =
-      partial_product_tuples(a, b, all_rows(a.rows), {}, true, pool, &stats);
-  const CsrMatrix got = merged_coo_to_csr(coo);
+  const RowRunBuffer runs =
+      product_runs(a, b, all_rows(a.rows), {}, true, pool, &stats);
+  const CsrMatrix got = merge(runs);
   const CsrMatrix want = gustavson_spgemm(a, b);
   std::string why;
   EXPECT_TRUE(approx_equal(want, got, 1e-9, &why)) << why;
   EXPECT_EQ(stats.flops, total_flops(a, b));
   EXPECT_EQ(stats.rows, a.rows);
   EXPECT_EQ(stats.a_nnz, a.nnz());
-  EXPECT_EQ(stats.tuples, static_cast<std::int64_t>(coo.nnz()));
+  EXPECT_EQ(stats.tuples, static_cast<std::int64_t>(runs.nnz()));
+  // One run per listed row, in order.
+  EXPECT_EQ(runs.run_row, all_rows(a.rows));
 }
 
 class DecompositionTest : public testing::TestWithParam<offset_t> {};
@@ -49,15 +66,15 @@ TEST_P(DecompositionTest, FourPartialProductsMergeToFullProduct) {
   ThreadPool pool(2);
   const RowPartition p = classify_rows(a, t);
 
-  CooMatrix all(a.rows, a.cols);
+  // Each product appends its runs to the one buffer.
+  RowRunBuffer all(a.rows, a.cols);
   for (const bool a_high : {true, false}) {
     for (const bool b_high : {true, false}) {
       const auto& rows = a_high ? p.high_rows : p.low_rows;
-      all.append(
-          partial_product_tuples(a, a, rows, p.is_high, b_high, pool, nullptr));
+      partial_product_tuples(a, a, rows, p.is_high, b_high, pool, all);
     }
   }
-  const CsrMatrix got = merged_coo_to_csr(all);
+  const CsrMatrix got = merge(all);
   const CsrMatrix want = gustavson_spgemm(a, a);
   std::string why;
   EXPECT_TRUE(approx_equal(want, got, 1e-9, &why))
@@ -71,7 +88,7 @@ TEST(PartialProduct, StatsSplitConsistent) {
   const CsrMatrix a = test::random_csr(40, 40, 0.15, 402);
   ThreadPool pool(2);
   ProductStats stats;
-  partial_product_tuples(a, a, all_rows(a.rows), {}, true, pool, &stats);
+  product_runs(a, a, all_rows(a.rows), {}, true, pool, &stats);
   EXPECT_EQ(stats.flops_shared + stats.flops_global, stats.flops);
   EXPECT_LE(stats.max_row_flops, stats.flops);
   EXPECT_GE(stats.warp_alu, stats.flops / 32);
@@ -83,9 +100,9 @@ TEST(PartialProduct, MaskedStatsAddUpToUnmasked) {
   ThreadPool pool(2);
   const RowPartition p = classify_rows(a, 5);
   ProductStats hi, lo, full;
-  partial_product_tuples(a, a, all_rows(a.rows), p.is_high, true, pool, &hi);
-  partial_product_tuples(a, a, all_rows(a.rows), p.is_high, false, pool, &lo);
-  partial_product_tuples(a, a, all_rows(a.rows), {}, true, pool, &full);
+  product_runs(a, a, all_rows(a.rows), p.is_high, true, pool, &hi);
+  product_runs(a, a, all_rows(a.rows), p.is_high, false, pool, &lo);
+  product_runs(a, a, all_rows(a.rows), {}, true, pool, &full);
   EXPECT_EQ(hi.flops + lo.flops, full.flops);
   EXPECT_EQ(hi.a_nnz + lo.a_nnz, full.a_nnz);
 }
@@ -93,20 +110,49 @@ TEST(PartialProduct, MaskedStatsAddUpToUnmasked) {
 TEST(PartialProduct, DeterministicAcrossPoolSizes) {
   const CsrMatrix a = test::random_csr(35, 35, 0.2, 404);
   ThreadPool pool1(1), pool4(4);
-  const CooMatrix x =
-      partial_product_tuples(a, a, all_rows(a.rows), {}, true, pool1, nullptr);
-  const CooMatrix y =
-      partial_product_tuples(a, a, all_rows(a.rows), {}, true, pool4, nullptr);
-  EXPECT_EQ(x.r, y.r);
-  EXPECT_EQ(x.c, y.c);
-  EXPECT_EQ(x.v, y.v);
+  const RowRunBuffer x =
+      product_runs(a, a, all_rows(a.rows), {}, true, pool1, nullptr);
+  const RowRunBuffer y =
+      product_runs(a, a, all_rows(a.rows), {}, true, pool4, nullptr);
+  EXPECT_EQ(x.run_row, y.run_row);
+  EXPECT_EQ(x.run_end, y.run_end);
+  EXPECT_EQ(x.col, y.col);
+  EXPECT_EQ(x.val, y.val);
+}
+
+TEST(PartialProduct, PooledRunsMatchAndPoolCountersFollowTheCalls) {
+  // 35 rows on a 4-thread pool: 12 blocks of 3 rows. Each call takes one SPA
+  // workspace per block and one buffer per block after the first, all on the
+  // calling thread, so the counters are fixed by the call sequence.
+  const CsrMatrix a = test::random_csr(35, 35, 0.2, 408);
+  ThreadPool pool(4);
+  WorkspacePool ws;
+  const RowRunBuffer plain =
+      product_runs(a, a, all_rows(a.rows), {}, true, pool, nullptr);
+  for (int call = 1; call <= 3; ++call) {
+    RowRunBuffer pooled = ws.acquire_runs(a.rows, a.cols);
+    partial_product_tuples(a, a, all_rows(a.rows), {}, true, pool, pooled,
+                           nullptr, &ws);
+    EXPECT_EQ(pooled.run_row, plain.run_row);
+    EXPECT_EQ(pooled.run_end, plain.run_end);
+    EXPECT_EQ(pooled.col, plain.col);
+    EXPECT_EQ(pooled.val, plain.val);
+    ws.release_runs(std::move(pooled));
+    const WorkspacePool::Stats st = ws.stats();
+    EXPECT_EQ(st.spa_acquires, 12 * call);
+    EXPECT_EQ(st.spa_reuses, 12 * (call - 1));
+    EXPECT_EQ(st.coo_acquires, 12 * call);  // the caller's buffer + 11 blocks
+    EXPECT_EQ(st.coo_reuses, 12 * (call - 1));
+    EXPECT_EQ(st.spa_live, 0);
+    EXPECT_EQ(st.coo_live, 0);
+  }
 }
 
 TEST(PartialProduct, EstimateIsExactOnFlopsAndUpperBoundOnTuples) {
   const CsrMatrix a = test::random_csr(30, 30, 0.25, 405);
   ThreadPool pool(2);
   ProductStats actual;
-  partial_product_tuples(a, a, all_rows(a.rows), {}, true, pool, &actual);
+  product_runs(a, a, all_rows(a.rows), {}, true, pool, &actual);
   const ProductStats est =
       estimate_partial_product(a, a, all_rows(a.rows), {}, true);
   EXPECT_EQ(est.flops, actual.flops);
@@ -121,9 +167,9 @@ TEST(PartialProduct, EmptyRowList) {
   const CsrMatrix a = test::random_csr(10, 10, 0.3, 406);
   ThreadPool pool(2);
   ProductStats stats;
-  const CooMatrix coo =
-      partial_product_tuples(a, a, {}, {}, true, pool, &stats);
-  EXPECT_EQ(coo.nnz(), 0u);
+  const RowRunBuffer runs = product_runs(a, a, {}, {}, true, pool, &stats);
+  EXPECT_EQ(runs.nnz(), 0u);
+  EXPECT_EQ(runs.runs(), 0u);
   EXPECT_EQ(stats.rows, 0);
   EXPECT_EQ(stats.flops, 0);
 }
@@ -135,7 +181,7 @@ TEST(PartialProduct, SharedAccumCapKnob) {
   const CsrMatrix a = test::random_csr(20, 20, 0.4, 407);
   ThreadPool pool(2);
   ProductStats stats;
-  partial_product_tuples(a, a, all_rows(a.rows), {}, true, pool, &stats);
+  product_runs(a, a, all_rows(a.rows), {}, true, pool, &stats);
   // With cap 1 nearly everything lands on the global path.
   EXPECT_GT(stats.flops_global, stats.flops_shared);
   set_shared_accum_cap(original);

@@ -409,6 +409,33 @@ TEST_F(ServiceTest, WorkspacePoolingPreservesResults) {
   EXPECT_EQ(plain.workspace_pool().stats().spa_acquires, 0);
 }
 
+TEST_F(ServiceTest, TupleBuffersAreRecycledNotRetainedPerQueueUnit) {
+  // Small operands: the auto unit size floors at 16 rows, so every request's
+  // Phase III runs more units than the bound below. Each product appends to
+  // one buffer per part (Phase II hh and ll, the queue) and hands its extra
+  // block buffers back before the next product starts, so fresh buffers are
+  // bounded by the three parts plus one product's blocks, however many units
+  // ran. A design that kept each unit's buffers until Phase IV would need at
+  // least one fresh buffer per unit.
+  const CsrMatrix wiki = make_dataset(dataset_spec("wiki-Vote"), 0.25);
+  const CsrMatrix enron = make_dataset(dataset_spec("email-Enron"), 0.06);
+  ThreadPool pool(1);  // at most 4 blocks per product
+  SpgemmService service(plat_, pool);
+  for (int i = 0; i < 2; ++i) {
+    service.submit({&wiki, nullptr, {}, ""});
+    service.submit({&enron, nullptr, {}, ""});
+  }
+  const BatchResult batch = service.drain();
+  const std::int64_t bound = 3 + 4;
+  for (const RequestReport& r : batch.requests) {
+    ASSERT_TRUE(r.status.ok());
+    EXPECT_GT(r.run.queue_cpu_units + r.run.queue_gpu_units, bound);
+  }
+  const WorkspacePool::Stats st = service.workspace_pool().stats();
+  EXPECT_LE(st.coo_acquires - st.coo_reuses, bound);
+  EXPECT_EQ(st.coo_live, 0);
+}
+
 // ------------------------------------------------------------ wave executor
 
 TEST_F(ServiceTest, WaveOutputsBitIdenticalAndUploadsDeduped) {

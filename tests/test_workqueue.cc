@@ -12,6 +12,11 @@
 namespace hh {
 namespace {
 
+CsrMatrix merge(const RowRunBuffer& runs) {
+  const RowRunBuffer* parts[] = {&runs};
+  return merged_runs_to_csr(parts, ThreadPool::global());
+}
+
 class WorkQueueTest : public testing::Test {
  protected:
   WorkQueueTest() : a_(test::random_csr(200, 200, 0.05, 71)), pool_(2) {}
@@ -29,7 +34,7 @@ TEST_F(WorkQueueTest, ProcessesEveryRowExactlyOnce) {
   const WorkQueueResult r =
       run_workqueue(a_, a_, entries, masks, cfg, 0, 0, plat_, pool_);
   EXPECT_EQ(r.cpu_stats.rows + r.gpu_stats.rows, a_.rows);
-  const CsrMatrix got = merged_coo_to_csr(r.tuples);
+  const CsrMatrix got = merge(r.tuples);
   const CsrMatrix want = gustavson_spgemm(a_, a_);
   std::string why;
   EXPECT_TRUE(approx_equal(want, got, 1e-9, &why)) << why;
@@ -88,8 +93,10 @@ TEST_F(WorkQueueTest, DeterministicAcrossPoolSizes) {
       run_workqueue(a_, a_, entries, masks, cfg, 0, 0, plat_, pool4);
   EXPECT_EQ(x.cpu_units, y.cpu_units);
   EXPECT_DOUBLE_EQ(x.cpu_busy, y.cpu_busy);
-  EXPECT_EQ(x.tuples.r, y.tuples.r);
-  EXPECT_EQ(x.tuples.v, y.tuples.v);
+  EXPECT_EQ(x.tuples.run_row, y.tuples.run_row);
+  EXPECT_EQ(x.tuples.run_end, y.tuples.run_end);
+  EXPECT_EQ(x.tuples.col, y.tuples.col);
+  EXPECT_EQ(x.tuples.val, y.tuples.val);
 }
 
 TEST_F(WorkQueueTest, TwoTagQueueUsesMasks) {
@@ -171,7 +178,7 @@ TEST(WorkQueueConfigTest, TinyMatrixQueueRunsToCompletion) {
   const WorkQueueResult r = run_workqueue(m, m, entries, masks,
                                           WorkQueueConfig{}, 0, 0, plat, pool);
   EXPECT_EQ(r.cpu_stats.rows + r.gpu_stats.rows, m.rows);
-  const CsrMatrix got = merged_coo_to_csr(r.tuples);
+  const CsrMatrix got = merge(r.tuples);
   const CsrMatrix want = gustavson_spgemm(m, m);
   std::string why;
   EXPECT_TRUE(approx_equal(want, got, 1e-12, &why)) << why;
