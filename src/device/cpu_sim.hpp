@@ -32,7 +32,8 @@ class CpuSim {
   double library_time(const ProductStats& s, double b_working_set_bytes) const;
 
   /// Phase IV: the paper's Fig. 4 sort + segmented reduction over `tuples`
-  /// tuples.
+  /// tuples (the host merges per-row runs instead; same bits, see
+  /// primitives/tuple_merge.hpp).
   double merge_time(std::int64_t tuples) const;
 
   /// Phase I threshold identification over a row-size histogram.
