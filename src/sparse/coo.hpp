@@ -1,5 +1,7 @@
-// Coordinate-format matrix: the tuple ⟨r, c, v⟩ representation that Phases
-// II/III of Algorithm HH-CPU emit and Phase IV merges (paper §III-D).
+// Coordinate-format matrix: unordered ⟨r, c, v⟩ tuples, as format conversion
+// and the expand–sort–contract kernel produce them. The partial products of
+// Algorithm HH-CPU (paper §III-D) emit row-run buffers instead
+// (sparse/row_runs.hpp).
 #pragma once
 
 #include <cstddef>
@@ -32,9 +34,6 @@ struct CooMatrix {
     c.reserve(n);
     v.reserve(n);
   }
-
-  /// Append all tuples of `other` (dimensions must match).
-  void append(const CooMatrix& other);
 
   /// Throws CheckError if any tuple is out of range or array sizes differ.
   void validate() const;
