@@ -1,18 +1,17 @@
 // End-to-end checksums over shipped buffers.
 //
-// Every operand uploaded to the device and every tuple buffer shipped back
-// carries an FNV-1a digest of its raw bytes. The service computes the
-// digest host-side before a transfer and verifies it after: a corrupted
-// PCIe transfer (fault/fault.hpp) fails verification and forces a re-send —
-// for uploads, the device-side copy is also dropped from the residency memo
-// so later requests cannot silently reuse a damaged operand.
+// Every operand uploaded to the device carries an FNV-1a digest of its raw
+// bytes. The service computes the digest host-side before a transfer and
+// verifies it after: a corrupted PCIe transfer (fault/fault.hpp) fails
+// verification and forces a re-send, and the device-side copy is dropped
+// from the residency memo so later requests cannot silently reuse a damaged
+// operand.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
 
-#include "sparse/coo.hpp"
 #include "sparse/csr.hpp"
 
 namespace hh {
@@ -42,8 +41,5 @@ inline void checksum_mix_f64(std::uint64_t& h, double v) {
 
 /// Digest of a CSR operand as shipped (indptr ‖ indices ‖ values + shape).
 std::uint64_t matrix_checksum(const CsrMatrix& m);
-
-/// Digest of a COO tuple buffer as shipped (r ‖ c ‖ v + shape).
-std::uint64_t tuple_checksum(const CooMatrix& coo);
 
 }  // namespace hh

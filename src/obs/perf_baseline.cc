@@ -1,13 +1,12 @@
 #include "obs/perf_baseline.hpp"
 
-#include <cctype>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <sstream>
 
 #include "runtime/service.hpp"
 #include "util/format.hpp"
+#include "util/json.hpp"
 #include "util/status.hpp"
 
 namespace hh {
@@ -20,111 +19,6 @@ std::string jpct(double v) {
   return buf;
 }
 
-// ---- Minimal JSON reader for the flat baseline format. Only what the
-// format uses: objects, arrays, strings without escapes, numbers, bools.
-class JsonCursor {
- public:
-  explicit JsonCursor(const std::string& text) : s_(text) {}
-
-  void skip_ws() {
-    while (pos_ < s_.size() && std::isspace(static_cast<unsigned char>(s_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  bool at(char c) {
-    skip_ws();
-    return pos_ < s_.size() && s_[pos_] == c;
-  }
-
-  void expect(char c) {
-    skip_ws();
-    if (pos_ >= s_.size() || s_[pos_] != c) {
-      std::ostringstream os;
-      os << "baseline JSON: expected '" << c << "' at offset " << pos_;
-      throw ParseError(os.str());
-    }
-    ++pos_;
-  }
-
-  bool consume(char c) {
-    if (!at(c)) return false;
-    ++pos_;
-    return true;
-  }
-
-  std::string string() {
-    expect('"');
-    const std::size_t begin = pos_;
-    while (pos_ < s_.size() && s_[pos_] != '"') {
-      if (s_[pos_] == '\\') {
-        throw ParseError("baseline JSON: escape sequences are not supported");
-      }
-      ++pos_;
-    }
-    if (pos_ >= s_.size()) throw ParseError("baseline JSON: unterminated string");
-    return s_.substr(begin, pos_++ - begin);
-  }
-
-  double number() {
-    skip_ws();
-    const char* start = s_.c_str() + pos_;
-    char* end = nullptr;
-    const double v = std::strtod(start, &end);
-    if (end == start) {
-      std::ostringstream os;
-      os << "baseline JSON: expected a number at offset " << pos_;
-      throw ParseError(os.str());
-    }
-    pos_ += static_cast<std::size_t>(end - start);
-    return v;
-  }
-
-  // Skip any well-formed value (for unknown keys: forward compatibility).
-  void skip_value() {
-    skip_ws();
-    if (at('"')) {
-      string();
-    } else if (consume('{')) {
-      if (!consume('}')) {
-        do {
-          string();
-          expect(':');
-          skip_value();
-        } while (consume(','));
-        expect('}');
-      }
-    } else if (consume('[')) {
-      if (!consume(']')) {
-        do {
-          skip_value();
-        } while (consume(','));
-        expect(']');
-      }
-    } else if (literal("true") || literal("false") || literal("null")) {
-    } else {
-      number();
-    }
-  }
-
-  bool done() {
-    skip_ws();
-    return pos_ >= s_.size();
-  }
-
- private:
-  bool literal(const char* lit) {
-    skip_ws();
-    const std::size_t n = std::char_traits<char>::length(lit);
-    if (s_.compare(pos_, n, lit) != 0) return false;
-    pos_ += n;
-    return true;
-  }
-
-  const std::string& s_;
-  std::size_t pos_ = 0;
-};
-
 int lane_index(const std::string& name) {
   for (int i = 0; i < kCritLaneCount; ++i) {
     if (name == crit_lane_name(i)) return i;
@@ -132,47 +26,34 @@ int lane_index(const std::string& name) {
   return -1;
 }
 
-PerfBaseline parse_record(JsonCursor& c) {
+PerfBaseline parse_record(const JsonValue& record) {
   PerfBaseline b;
-  c.expect('{');
-  if (!c.consume('}')) {
-    do {
-      const std::string key = c.string();
-      c.expect(':');
-      if (key == "bench") {
-        b.bench = c.string();
-      } else if (key == "scale") {
-        b.scale = c.number();
-      } else if (key == "requests") {
-        b.requests = static_cast<std::int64_t>(c.number());
-      } else if (key == "makespan_s") {
-        b.makespan_s = c.number();
-      } else if (key == "p50_latency_s") {
-        b.p50_latency_s = c.number();
-      } else if (key == "p95_latency_s") {
-        b.p95_latency_s = c.number();
-      } else if (key == "p99_latency_s") {
-        b.p99_latency_s = c.number();
-      } else if (key == "attributed_s") {
-        c.expect('{');
-        if (!c.consume('}')) {
-          do {
-            const std::string lane = c.string();
-            c.expect(':');
-            const double v = c.number();
-            const int idx = lane_index(lane);
-            if (idx < 0) {
-              throw ParseError("baseline JSON: unknown lane \"" + lane + "\"");
-            }
-            b.attributed_s[idx] = v;
-          } while (c.consume(','));
-          c.expect('}');
+  for (const JsonValue& field : record.members()) {
+    const std::string& key = field.key();
+    if (key == "bench") {
+      b.bench = field.str();
+    } else if (key == "scale") {
+      b.scale = field.f64();
+    } else if (key == "requests") {
+      b.requests = field.i64();
+    } else if (key == "makespan_s") {
+      b.makespan_s = field.f64();
+    } else if (key == "p50_latency_s") {
+      b.p50_latency_s = field.f64();
+    } else if (key == "p95_latency_s") {
+      b.p95_latency_s = field.f64();
+    } else if (key == "p99_latency_s") {
+      b.p99_latency_s = field.f64();
+    } else if (key == "attributed_s") {
+      for (const JsonValue& lane : field.members()) {
+        const int idx = lane_index(lane.key());
+        if (idx < 0) {
+          throw ParseError("baseline JSON: unknown lane \"" + lane.key() +
+                           "\"");
         }
-      } else {
-        c.skip_value();
+        b.attributed_s[idx] = lane.f64();
       }
-    } while (c.consume(','));
-    c.expect('}');
+    }  // other keys: skipped, for forward compatibility
   }
   if (b.bench.empty()) {
     throw ParseError("baseline JSON: record is missing \"bench\"");
@@ -184,7 +65,9 @@ PerfBaseline parse_record(JsonCursor& c) {
 
 std::string PerfBaseline::to_json() const {
   std::ostringstream os;
-  os << "{\"bench\":\"" << bench << "\",\"scale\":" << jexact(scale)
+  os << "{\"bench\":\"";
+  append_escaped(os, bench);
+  os << "\",\"scale\":" << jexact(scale)
      << ",\"requests\":" << requests
      << ",\"makespan_s\":" << jexact(makespan_s)
      << ",\"p50_latency_s\":" << jexact(p50_latency_s)
@@ -225,21 +108,11 @@ std::string render_perf_baselines(const std::vector<PerfBaseline>& baselines) {
 }
 
 std::vector<PerfBaseline> parse_perf_baselines(const std::string& text) {
-  JsonCursor c(text);
+  const JsonValue root = parse_json(text, "baseline JSON");
+  if (root.kind() != JsonValue::Kind::kArray) return {parse_record(root)};
   std::vector<PerfBaseline> out;
-  if (c.at('[')) {
-    c.expect('[');
-    if (!c.consume(']')) {
-      do {
-        out.push_back(parse_record(c));
-      } while (c.consume(','));
-      c.expect(']');
-    }
-  } else {
-    out.push_back(parse_record(c));
-  }
-  if (!c.done()) {
-    throw ParseError("baseline JSON: trailing content after the record set");
+  for (const JsonValue& record : root.items()) {
+    out.push_back(parse_record(record));
   }
   return out;
 }
@@ -259,7 +132,9 @@ std::string PerfDiff::to_json() const {
     std::ostringstream os;
     os << "[";
     for (std::size_t i = 0; i < v.size(); ++i) {
-      os << (i ? "," : "") << "\"" << v[i] << "\"";
+      os << (i ? ",\"" : "\"");
+      append_escaped(os, v[i]);
+      os << "\"";
     }
     os << "]";
     return os.str();

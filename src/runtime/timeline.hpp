@@ -108,38 +108,6 @@ class ResourceTimeline {
     return std::max(now_, earliest);
   }
 
-  /// One named segment of a wave-scoped block reservation.
-  struct BlockSegment {
-    const char* stage;
-    double duration;
-  };
-
-  /// Wave-scoped reservation: place `segments` contiguously, in order, as
-  /// one block starting no earlier than `earliest` — the insertion
-  /// scheduler treats the block as a unit (a wave's coalesced H2D uploads
-  /// stream back-to-back on one PCIe arbitration). Non-positive segments
-  /// occupy nothing and pin a zero-length span at the running cursor.
-  std::vector<StageSpan> reserve_block(const std::vector<BlockSegment>& segments,
-                                       double earliest) {
-    double total = 0;
-    for (const BlockSegment& s : segments) {
-      if (s.duration > 0) total += s.duration;
-    }
-    std::vector<StageSpan> spans;
-    spans.reserve(segments.size());
-    double cursor = block_start(earliest, total);
-    for (const BlockSegment& s : segments) {
-      if (s.duration <= 0) {
-        spans.push_back({s.stage, resource_, cursor, cursor});
-        continue;
-      }
-      const StageSpan placed = reserve(s.stage, cursor, s.duration);
-      cursor = placed.end_s;
-      spans.push_back(placed);
-    }
-    return spans;
-  }
-
  private:
   struct Gap {
     double start;

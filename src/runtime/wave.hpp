@@ -10,7 +10,7 @@
 //     refcount until its last user finishes (cross-request residency dedup
 //     with refcounted eviction);
 //   - the wave's uploads coalesce into one contiguous H2D block reservation
-//     (ResourceTimeline::reserve_block): the link latency is paid by the
+//     (ResourceTimeline::block_start): the link latency is paid by the
 //     lead transfer only (the `lead` flag of PcieChannel's transfer calls);
 //   - same-wave Phase II GPU kernels are batched: the first healthy launch
 //     pays the kernel-launch overhead, followers skip it (the `lead` flag of

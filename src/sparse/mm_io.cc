@@ -1,5 +1,6 @@
 #include "sparse/mm_io.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <fstream>
 #include <limits>
@@ -83,17 +84,20 @@ CsrMatrix read_matrix_market(std::istream& in) {
     fail("dimension overflows index type", line);
   }
   // Coordinate entries are distinct positions, so more of them than the
-  // matrix has cells means a corrupt size line; catching it here also bounds
-  // the reserve below against absurd claimed counts.
+  // matrix has cells means a corrupt size line.
   if (static_cast<unsigned long long>(entries) >
       static_cast<unsigned long long>(rows) *
           static_cast<unsigned long long>(cols)) {
     fail("entry count exceeds rows*cols", line);
   }
 
+  // The claimed count is not trusted for the up-front reserve: a short file
+  // that claims 10^12 entries must fail as truncated, not as bad_alloc.
+  constexpr long long kMaxReserve = 1 << 16;
   std::vector<index_t> tr, tc;
   std::vector<value_t> tv;
-  tr.reserve(static_cast<std::size_t>(entries) * (symmetric ? 2 : 1));
+  tr.reserve(static_cast<std::size_t>(std::min(entries, kMaxReserve)) *
+             (symmetric ? 2 : 1));
   tc.reserve(tr.capacity());
   tv.reserve(tr.capacity());
   for (long long i = 0; i < entries; ++i) {

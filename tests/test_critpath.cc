@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -15,6 +17,7 @@
 #include "runtime/service.hpp"
 #include "shard/sharded_service.hpp"
 #include "test_util.hpp"
+#include "util/json.hpp"
 #include "util/status.hpp"
 
 namespace hh {
@@ -380,6 +383,45 @@ TEST(PerfBaseline, ParseRejectsMalformedInput) {
       parse_perf_baselines(
           "{\"bench\":\"x\",\"attributed_s\":{\"warp\":1}}"),
       ParseError);
+}
+
+TEST(PerfBaseline, RequestsMustBeAnInteger) {
+  EXPECT_EQ(parse_perf_baselines("{\"bench\":\"x\",\"requests\":7}")[0]
+                .requests,
+            7);
+  for (const char* requests : {"1e300", "-1.5", "2.0", "nan", "1e999"}) {
+    EXPECT_THROW(parse_perf_baselines(
+                     std::string("{\"bench\":\"x\",\"requests\":") +
+                     requests + "}"),
+                 ParseError)
+        << requests;
+  }
+}
+
+TEST(PerfBaseline, EscapedBenchNameRoundTripsExactly) {
+  std::vector<PerfBaseline> set = {sample_baseline()};
+  set[0].bench = "odd \"name\" \\ and\nnewline";
+  const std::string text = render_perf_baselines(set);
+  const std::vector<PerfBaseline> back = parse_perf_baselines(text);
+  ASSERT_EQ(back.size(), 1u);
+  EXPECT_EQ(back[0].bench, set[0].bench);
+  EXPECT_EQ(render_perf_baselines(back), text);
+  // The diff names the bench in its notes; its JSON must stay valid.
+  const PerfDiff d = compare_perf_baselines({sample_baseline()}, set);
+  const JsonValue diff = parse_json(d.to_json(), "diff");
+  ASSERT_EQ(diff.at("notes").items().size(), 1u);
+  EXPECT_EQ(diff.at("notes").items()[0].str(), d.notes[0]);
+  EXPECT_EQ(diff.at("findings").items()[0].str(), d.findings[0]);
+}
+
+TEST(PerfBaseline, CommittedBaselineRoundTripsExactly) {
+  std::ifstream in(HH_SOURCE_DIR "/bench/baselines/runtime_throughput.json",
+                   std::ios::binary);
+  std::ostringstream text;
+  text << in.rdbuf();
+  ASSERT_FALSE(text.str().empty());
+  EXPECT_EQ(render_perf_baselines(parse_perf_baselines(text.str())),
+            text.str());
 }
 
 TEST(PerfBaseline, IdenticalRunsCompareClean) {

@@ -164,6 +164,22 @@ TEST(MmIo, RejectsTruncatedEntries) {
       "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n");
 }
 
+TEST(MmIo, RejectsHugeClaimedEntryCountAsTruncated) {
+  // 10^12 claimed entries pass the rows*cols bound (4e18); the reader must
+  // not size its buffers from the claim before reading a single entry.
+  std::stringstream ss(
+      "%%MatrixMarket matrix coordinate real general\n"
+      "2000000000 2000000000 1000000000000\n1 1 1.0\n");
+  try {
+    read_matrix_market(ss);
+    FAIL() << "accepted a truncated entry list";
+  } catch (const ParseError& e) {
+    EXPECT_NE(std::string(e.what()).find("truncated entry list"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(MmIo, ParseErrorIsAlsoCatchableAsHhError) {
   std::stringstream ss("not a matrix\n");
   try {

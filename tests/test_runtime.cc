@@ -4,6 +4,7 @@
 
 #include <array>
 #include <cstdint>
+#include <utility>
 
 #include "core/hh_cpu.hpp"
 #include "gen/datasets.hpp"
@@ -92,12 +93,20 @@ TEST(ResourceTimeline, BlockStartFindsFirstWindowThatFitsWholeBlock) {
   EXPECT_DOUBLE_EQ(t.block_start(0.0, 0.0), 0.0);   // degenerate block
 }
 
-TEST(ResourceTimeline, ReserveBlockIsContiguousAndSkipsShortGaps) {
+TEST(ResourceTimeline, BackToBackBlockIsContiguousAndSkipsShortGaps) {
   ResourceTimeline t;
   t.reserve("early", 1.0, 1.0);  // idle window [0, 1) — too short for the
   t.reserve("late", 5.0, 1.0);   // block; window [2, 5) fits it whole
-  const std::vector<StageSpan> spans = t.reserve_block(
-      {{"seg0", 1.0}, {"seg1", 0.0}, {"seg2", 1.5}}, 0.0);
+  // Place the segments back-to-back from block_start, as drain()'s
+  // coalesced wave upload does.
+  const std::pair<const char*, double> segments[] = {
+      {"seg0", 1.0}, {"seg1", 0.0}, {"seg2", 1.5}};
+  std::vector<StageSpan> spans;
+  double cursor = t.block_start(0.0, 2.5);
+  for (const auto& [stage, duration] : segments) {
+    spans.push_back(t.reserve(stage, cursor, duration));
+    cursor = spans.back().end_s;
+  }
   ASSERT_EQ(spans.size(), 3u);
   // The whole block lands in [2, 5): no segment leaks into the [0, 1) gap.
   EXPECT_DOUBLE_EQ(spans[0].start_s, 2.0);

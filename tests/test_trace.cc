@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cctype>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -20,134 +19,23 @@
 #include "trace/metrics.hpp"
 #include "trace/perfetto_export.hpp"
 #include "util/check.hpp"
+#include "util/json.hpp"
+#include "util/status.hpp"
 
 namespace hh {
 namespace {
 
-// ------------------------------------------------- minimal JSON validator
-// Recursive-descent syntax check (no DOM): enough to guarantee a Perfetto /
-// chrome://tracing load will not reject the file as malformed JSON.
-class JsonValidator {
- public:
-  explicit JsonValidator(std::string_view s) : s_(s) {}
-
-  bool valid() {
-    pos_ = 0;
-    skip_ws();
-    if (!value()) return false;
-    skip_ws();
-    return pos_ == s_.size();
+// Strict syntax check through the library's JSON reader: enough to
+// guarantee a Perfetto / chrome://tracing load will not reject the file as
+// malformed JSON.
+testing::AssertionResult IsJson(const std::string& text) {
+  try {
+    parse_json(text, "json");
+    return testing::AssertionSuccess();
+  } catch (const ParseError& e) {
+    return testing::AssertionFailure() << e.what();
   }
-
- private:
-  bool eat(char c) {
-    if (pos_ < s_.size() && s_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-  void skip_ws() {
-    while (pos_ < s_.size() &&
-           std::isspace(static_cast<unsigned char>(s_[pos_]))) {
-      ++pos_;
-    }
-  }
-  bool literal(std::string_view lit) {
-    if (s_.substr(pos_, lit.size()) != lit) return false;
-    pos_ += lit.size();
-    return true;
-  }
-  bool string() {
-    if (!eat('"')) return false;
-    while (pos_ < s_.size() && s_[pos_] != '"') {
-      if (s_[pos_] == '\\') {
-        ++pos_;
-        if (pos_ >= s_.size()) return false;
-      }
-      ++pos_;
-    }
-    return eat('"');
-  }
-  bool number() {
-    const std::size_t start = pos_;
-    if (pos_ < s_.size() && (s_[pos_] == '-' || s_[pos_] == '+')) ++pos_;
-    bool digits = false;
-    auto digit_run = [&] {
-      while (pos_ < s_.size() &&
-             std::isdigit(static_cast<unsigned char>(s_[pos_]))) {
-        ++pos_;
-        digits = true;
-      }
-    };
-    digit_run();
-    if (pos_ < s_.size() && s_[pos_] == '.') {
-      ++pos_;
-      digit_run();
-    }
-    if (digits && pos_ < s_.size() && (s_[pos_] == 'e' || s_[pos_] == 'E')) {
-      ++pos_;
-      if (pos_ < s_.size() && (s_[pos_] == '-' || s_[pos_] == '+')) ++pos_;
-      bool exp_digits = false;
-      while (pos_ < s_.size() &&
-             std::isdigit(static_cast<unsigned char>(s_[pos_]))) {
-        ++pos_;
-        exp_digits = true;
-      }
-      if (!exp_digits) return false;
-    }
-    return digits && pos_ > start;
-  }
-  bool object() {
-    if (!eat('{')) return false;
-    skip_ws();
-    if (eat('}')) return true;
-    for (;;) {
-      skip_ws();
-      if (!string()) return false;
-      skip_ws();
-      if (!eat(':')) return false;
-      if (!value()) return false;
-      skip_ws();
-      if (eat(',')) continue;
-      return eat('}');
-    }
-  }
-  bool array() {
-    if (!eat('[')) return false;
-    skip_ws();
-    if (eat(']')) return true;
-    for (;;) {
-      if (!value()) return false;
-      skip_ws();
-      if (eat(',')) continue;
-      return eat(']');
-    }
-  }
-  bool value() {
-    skip_ws();
-    if (pos_ >= s_.size()) return false;
-    switch (s_[pos_]) {
-      case '{':
-        return object();
-      case '[':
-        return array();
-      case '"':
-        return string();
-      case 't':
-        return literal("true");
-      case 'f':
-        return literal("false");
-      case 'n':
-        return literal("null");
-      default:
-        return number();
-    }
-  }
-
-  std::string_view s_;
-  std::size_t pos_ = 0;
-};
+}
 
 int count_events(const TraceRecorder& rec, TraceCategory cat,
                  const char* name = nullptr) {
@@ -312,7 +200,7 @@ TEST(Metrics, ExportsAreWellFormed) {
   EXPECT_NE(text.find("plan_cache.size"), std::string::npos);
   EXPECT_NE(text.find("service.latency_s_count 1"), std::string::npos);
   const std::string json = reg.to_json();
-  EXPECT_TRUE(JsonValidator(json).valid()) << json;
+  EXPECT_TRUE(IsJson(json)) << json;
 }
 
 // ------------------------------------------------------------- flame views
@@ -390,7 +278,7 @@ TEST_F(TracedServiceTest, FaultedDrainExportsConsistentPerfettoTrace) {
 
   // 1. The export is syntactically valid JSON with the expected skeleton.
   const std::string json = chrome_trace_json(rec);
-  EXPECT_TRUE(JsonValidator(json).valid());
+  EXPECT_TRUE(IsJson(json));
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);  // spans
   EXPECT_NE(json.find("\"ph\":\"i\""), std::string::npos);  // instants
@@ -466,11 +354,11 @@ TEST_F(TracedServiceTest, FaultedDrainExportsConsistentPerfettoTrace) {
             static_cast<std::int64_t>(b.degraded));
   EXPECT_EQ(m.counter("plan_cache.hits").value(), b.plan_cache.hits);
   EXPECT_EQ(m.counter("plan_cache.misses").value(), b.plan_cache.misses);
-  EXPECT_TRUE(JsonValidator(m.to_json()).valid());
+  EXPECT_TRUE(IsJson(m.to_json()));
 
   // 6. The report JSON stays valid with the new fields present.
-  EXPECT_TRUE(JsonValidator(b.to_json()).valid());
-  EXPECT_TRUE(JsonValidator(batch.requests.front().to_json()).valid());
+  EXPECT_TRUE(IsJson(b.to_json()));
+  EXPECT_TRUE(IsJson(batch.requests.front().to_json()));
   EXPECT_FALSE(b.flame.empty());
   EXPECT_FALSE(batch.requests.front().flame.empty());
 }
@@ -487,7 +375,7 @@ TEST_F(TracedServiceTest, DeadlineCancellationsAreTraced) {
   const BatchResult batch = service.drain();
   ASSERT_EQ(batch.batch.deadline_missed, 1u);
   EXPECT_EQ(count_events(rec, TraceCategory::kCancel), 1);
-  EXPECT_TRUE(JsonValidator(chrome_trace_json(rec)).valid());
+  EXPECT_TRUE(IsJson(chrome_trace_json(rec)));
 }
 
 TEST_F(TracedServiceTest, DisabledRecorderStaysEmptyAndOutputMatches) {
@@ -534,7 +422,7 @@ TEST_F(TracedServiceTest, ShardedGroupExportsPerShardTracks) {
 
   // The export is valid JSON and renders each shard as its own process.
   const std::string json = chrome_trace_json(rec);
-  EXPECT_TRUE(JsonValidator(json).valid());
+  EXPECT_TRUE(IsJson(json));
   EXPECT_NE(json.find("\"hh-runtime\""), std::string::npos);
   EXPECT_NE(json.find("\"hh-shard-0\""), std::string::npos);
   EXPECT_NE(json.find("\"hh-shard-1\""), std::string::npos);
@@ -542,7 +430,9 @@ TEST_F(TracedServiceTest, ShardedGroupExportsPerShardTracks) {
   // Group-level kShard instants live on track 0; every span was re-recorded
   // on its shard's track (never the group track).
   for (const TraceEvent& e : rec.events()) {
-    if (e.category == TraceCategory::kShard) EXPECT_EQ(e.track, 0u);
+    if (e.category == TraceCategory::kShard) {
+      EXPECT_EQ(e.track, 0u);
+    }
     if (e.kind == TraceEventKind::kSpan) {
       EXPECT_GE(e.track, 1u);
       EXPECT_LE(e.track, gcfg.shards);
