@@ -1,19 +1,20 @@
 // Real wall-clock microbenchmarks of the host kernels (google-benchmark):
-// the SpGEMM accumulator variants, the Phase IV merge, and the
-// generator. These measure the actual C++ implementations on the build
-// machine — unlike the figure benches, nothing here is simulated.
+// the sequential reference product, the partial-product kernel every HH
+// phase runs, the Phase IV merge, and the generator. These measure the
+// actual C++ implementations on the build machine — unlike the figure
+// benches, nothing here is simulated.
 #include <benchmark/benchmark.h>
 
+#include <numeric>
+#include <vector>
+
 #include "core/hh_stages.hpp"
+#include "gen/datasets.hpp"
 #include "gen/powerlaw_gen.hpp"
 #include "primitives/tuple_merge.hpp"
 #include "spgemm/gustavson.hpp"
-#include "spgemm/hash_spgemm.hpp"
-#include "spgemm/heap_spgemm.hpp"
-#include "spgemm/row_column.hpp"
 #include "spgemm/spgemm.hpp"
 #include "spgemm/symbolic.hpp"
-#include "util/prng.hpp"
 
 namespace {
 
@@ -35,32 +36,31 @@ void BM_GustavsonSpgemm(benchmark::State& state) {
 }
 BENCHMARK(BM_GustavsonSpgemm)->Arg(2000)->Arg(8000);
 
-void BM_HashSpgemm(benchmark::State& state) {
-  const hh::CsrMatrix a = bench_matrix(static_cast<hh::index_t>(state.range(0)));
+// partial_product_tuples, the kernel behind Phases II and III, over every
+// row of A×A for a Table-I analogue at scale 0.02, on a pool of 1 or 4
+// threads. Items are flops, so the rate reads as multiply-adds per second.
+void BM_PartialProduct(benchmark::State& state) {
+  static constexpr const char* kDatasets[] = {"webbase-1M", "cit-Patents",
+                                              "roadNet-CA"};
+  const hh::DatasetSpec& spec = hh::dataset_spec(kDatasets[state.range(0)]);
+  const hh::CsrMatrix a = hh::make_dataset(spec, 0.02);
+  std::vector<hh::index_t> rows(static_cast<std::size_t>(a.rows));
+  std::iota(rows.begin(), rows.end(), hh::index_t{0});
+  hh::ThreadPool pool(static_cast<std::size_t>(state.range(1)));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(hh::hash_spgemm(a, a));
+    hh::RowRunBuffer out(a.rows, a.cols);
+    hh::partial_product_tuples(a, a, rows, {}, true, pool, out);
+    benchmark::DoNotOptimize(out.val.data());
+    benchmark::ClobberMemory();
   }
+  state.SetLabel(spec.name);
   state.SetItemsProcessed(state.iterations() * hh::total_flops(a, a));
 }
-BENCHMARK(BM_HashSpgemm)->Arg(2000)->Arg(8000);
-
-void BM_HeapSpgemm(benchmark::State& state) {
-  const hh::CsrMatrix a = bench_matrix(static_cast<hh::index_t>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(hh::heap_spgemm(a, a));
-  }
-  state.SetItemsProcessed(state.iterations() * hh::total_flops(a, a));
-}
-BENCHMARK(BM_HeapSpgemm)->Arg(2000)->Arg(8000);
-
-void BM_RowColumnSpgemm(benchmark::State& state) {
-  const hh::CsrMatrix a = bench_matrix(static_cast<hh::index_t>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(hh::row_column_spgemm(a, a));
-  }
-  state.SetItemsProcessed(state.iterations() * hh::total_flops(a, a));
-}
-BENCHMARK(BM_RowColumnSpgemm)->Arg(2000);
+BENCHMARK(BM_PartialProduct)
+    ->ArgsProduct({{0, 1, 2}, {1, 4}})
+    ->ArgNames({"dataset", "threads"})
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 // Phase IV on the tuples one HH product really feeds it: the three row-run
 // parts run_phase2 and run_phase3 emit, so a row holds up to two runs. The

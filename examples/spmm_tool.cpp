@@ -17,6 +17,7 @@
 #include "gen/datasets.hpp"
 #include "sparse/equality.hpp"
 #include "sparse/mm_io.hpp"
+#include "util/status.hpp"
 
 namespace {
 
@@ -79,8 +80,14 @@ int main(int argc, char** argv) {
 
   ThreadPool pool(0);
   const HeteroPlatform plat = make_scaled_platform(scale);
-  const CsrMatrix a = load_operand(a_spec, scale);
-  const CsrMatrix b = b_spec.empty() ? a : load_operand(b_spec, scale);
+  CsrMatrix a, b;
+  try {
+    a = load_operand(a_spec, scale);
+    b = b_spec.empty() ? a : load_operand(b_spec, scale);
+  } catch (const HhError& e) {  // a malformed .mtx or an unknown dataset
+    std::fprintf(stderr, "spmm_tool: %s\n", e.what());
+    return 1;
+  }
   std::printf("A: %s   B: %s\n\n", a.summary().c_str(), b.summary().c_str());
 
   HhCpuOptions hh_opt;

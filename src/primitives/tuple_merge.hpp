@@ -5,16 +5,16 @@
 // per part, and every output row is the merge of its few sorted runs. The
 // host counts runs per row, then makes two parallel passes over the rows:
 // one counts each row's distinct columns, the next writes the row straight
-// into the CSR, summing each column from value_t{0} in part order. Unordered
-// tuples (a CooMatrix) take a row-first stable merge instead. Either result
-// is the same, bit for bit, as a stable global sort by (r, c) of the tuples
-// in input order followed by Fig. 4's per-key reduction; the simulated
-// Phase IV charge (CpuSim::merge_time) is still that sort plus reduce.
+// into the CSR, summing each column from value_t{0} in part order. The
+// result is the same, bit for bit, as a stable global sort by (r, c) of the
+// tuples in input order followed by Fig. 4's per-key reduction; the
+// simulated Phase IV charge (CpuSim::merge_time) is still that sort plus
+// reduce.
 #pragma once
 
+#include <cstdint>
 #include <span>
 
-#include "sparse/coo.hpp"
 #include "sparse/csr.hpp"
 #include "sparse/row_runs.hpp"
 #include "util/thread_pool.hpp"
@@ -26,12 +26,6 @@ struct MergeStats {
   std::int64_t tuples_in = 0;   // tuples before combining
   std::int64_t tuples_out = 0;  // distinct (r, c) pairs
 };
-
-/// Order tuples by (r, c), sum like-tuples, build CSR. Deterministic.
-/// Throws CheckError if a tuple's row or column is out of range.
-CsrMatrix merged_coo_to_csr(const CooMatrix& coo, MergeStats* stats = nullptr);
-CsrMatrix merged_coo_to_csr(const CooMatrix& coo, ThreadPool& pool,
-                            MergeStats* stats = nullptr);
 
 /// Merge of the runs of `parts`, taken in part order and, within a part, in
 /// buffer order. Every part must have the same shape. Throws CheckError if a

@@ -1,16 +1,13 @@
-// Format conversions and structural transforms.
+// Structural transforms of a CSR matrix. (Triplets become a CSR matrix
+// through csr_from_triplets in sparse/csr.hpp.)
 #pragma once
 
-#include "sparse/coo.hpp"
+#include <cstdint>
+#include <vector>
+
 #include "sparse/csr.hpp"
 
 namespace hh {
-
-/// COO → CSR. Duplicate (r, c) tuples are summed; columns end up sorted.
-CsrMatrix coo_to_csr(const CooMatrix& coo);
-
-/// CSR → COO (tuples emitted in row-major order).
-CooMatrix csr_to_coo(const CsrMatrix& csr);
 
 /// Transpose (also CSR → CSC reinterpretation).
 CsrMatrix transpose(const CsrMatrix& m);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cctype>
 #include <fstream>
-#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -79,9 +78,10 @@ CsrMatrix read_matrix_market(std::istream& in) {
   const auto entries = parse_token<long long>(size_line, "entry count", line);
   reject_trailing(size_line, line);
   if (rows <= 0 || cols <= 0 || entries < 0) fail("bad size line", line);
-  constexpr long long kMaxDim = std::numeric_limits<index_t>::max();
-  if (rows > kMaxDim || cols > kMaxDim) {
-    fail("dimension overflows index type", line);
+  if (rows > kMaxMatrixMarketDim || cols > kMaxMatrixMarketDim) {
+    fail("dimension above the reader's limit of " +
+             std::to_string(kMaxMatrixMarketDim) + " rows or columns",
+         line);
   }
   // Coordinate entries are distinct positions, so more of them than the
   // matrix has cells means a corrupt size line.

@@ -12,11 +12,18 @@
 
 namespace hh {
 
+/// Largest row or column count the reader accepts: 2^26, about 17× the rows
+/// of cit-Patents, the largest Table-I matrix. The CSR row pointers (512 MiB
+/// at the limit) and every SPA over the columns are sized from these counts,
+/// so a three-line file must not be able to ask for gigabytes.
+inline constexpr index_t kMaxMatrixMarketDim = index_t{1} << 26;
+
 /// Reads "matrix coordinate (real|integer|pattern) (general|symmetric)".
 /// Pattern entries get value 1.0; symmetric inputs are mirrored.
 /// Throws ParseError (util/status.hpp) on malformed input: bad banner,
-/// non-numeric tokens, out-of-range indices, dimensions that overflow the
-/// index type, entry counts exceeding rows*cols, truncation, trailing junk.
+/// non-numeric tokens, out-of-range indices, row or column counts above
+/// kMaxMatrixMarketDim, entry counts exceeding rows*cols, truncation,
+/// trailing junk.
 CsrMatrix read_matrix_market(std::istream& in);
 CsrMatrix read_matrix_market_file(const std::string& path);
 

@@ -1,21 +1,28 @@
 #include "spgemm/gustavson.hpp"
 
 #include <algorithm>
+#include <vector>
 
 #include "spgemm/symbolic.hpp"
 #include "util/check.hpp"
 
 namespace hh {
-namespace {
 
-// Numeric pass for rows [r0, r1): SPA accumulate, emit sorted columns at the
-// row's final offsets. indptr must already hold the exact row offsets.
-void numeric_rows(const CsrMatrix& a, const CsrMatrix& b, CsrMatrix& c,
-                  index_t r0, index_t r1) {
+CsrMatrix gustavson_spgemm(const CsrMatrix& a, const CsrMatrix& b) {
+  HH_CHECK_MSG(a.cols == b.rows, "incompatible shapes for product");
+  CsrMatrix c(a.rows, b.cols);
+  const std::vector<offset_t> row_nnz = exact_row_nnz(a, b);
+  for (index_t i = 0; i < a.rows; ++i) {
+    c.indptr[i + 1] = c.indptr[i] + row_nnz[i];
+  }
+  c.indices.resize(static_cast<std::size_t>(c.nnz()));
+  c.values.resize(static_cast<std::size_t>(c.nnz()));
+
+  // Numeric pass: SPA accumulate, emit sorted columns at the row's offsets.
   std::vector<value_t> acc(static_cast<std::size_t>(b.cols), value_t{0});
   std::vector<index_t> marker(static_cast<std::size_t>(b.cols), -1);
   std::vector<index_t> cols;
-  for (index_t i = r0; i < r1; ++i) {
+  for (index_t i = 0; i < a.rows; ++i) {
     cols.clear();
     for (offset_t k = a.indptr[i]; k < a.indptr[i + 1]; ++k) {
       const index_t j = a.indices[k];
@@ -40,36 +47,6 @@ void numeric_rows(const CsrMatrix& a, const CsrMatrix& b, CsrMatrix& c,
       ++dst;
     }
   }
-}
-
-}  // namespace
-
-CsrMatrix gustavson_spgemm(const CsrMatrix& a, const CsrMatrix& b) {
-  HH_CHECK_MSG(a.cols == b.rows, "incompatible shapes for product");
-  CsrMatrix c(a.rows, b.cols);
-  const std::vector<offset_t> row_nnz = exact_row_nnz(a, b);
-  for (index_t i = 0; i < a.rows; ++i) {
-    c.indptr[i + 1] = c.indptr[i] + row_nnz[i];
-  }
-  c.indices.resize(static_cast<std::size_t>(c.nnz()));
-  c.values.resize(static_cast<std::size_t>(c.nnz()));
-  numeric_rows(a, b, c, 0, a.rows);
-  return c;
-}
-
-CsrMatrix gustavson_spgemm_parallel(const CsrMatrix& a, const CsrMatrix& b,
-                                    ThreadPool& pool) {
-  HH_CHECK_MSG(a.cols == b.rows, "incompatible shapes for product");
-  CsrMatrix c(a.rows, b.cols);
-  const std::vector<offset_t> row_nnz = exact_row_nnz(a, b);
-  for (index_t i = 0; i < a.rows; ++i) {
-    c.indptr[i + 1] = c.indptr[i] + row_nnz[i];
-  }
-  c.indices.resize(static_cast<std::size_t>(c.nnz()));
-  c.values.resize(static_cast<std::size_t>(c.nnz()));
-  pool.parallel_for(a.rows, [&](std::int64_t lo, std::int64_t hi) {
-    numeric_rows(a, b, c, static_cast<index_t>(lo), static_cast<index_t>(hi));
-  });
   return c;
 }
 

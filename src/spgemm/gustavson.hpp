@@ -1,19 +1,14 @@
 // Gustavson's row-row SpGEMM [Gustavson 1978] with a sparse accumulator
-// (SPA). This is the "MKL-like" tuned CPU kernel: the CPU-only baseline in
-// Fig. 6 and the numeric engine behind every host-side product.
+// (SPA), run sequentially: the reference product that tests and examples
+// check every heterogeneous result against. (The library's own kernel is
+// partial_product_tuples in spgemm/spgemm.hpp.)
 #pragma once
 
 #include "sparse/csr.hpp"
-#include "util/thread_pool.hpp"
 
 namespace hh {
 
 /// Sequential two-phase (symbolic + numeric) Gustavson. Output rows sorted.
 CsrMatrix gustavson_spgemm(const CsrMatrix& a, const CsrMatrix& b);
-
-/// Row-parallel Gustavson over the given pool. Deterministic: identical
-/// output to the sequential version.
-CsrMatrix gustavson_spgemm_parallel(const CsrMatrix& a, const CsrMatrix& b,
-                                    ThreadPool& pool);
 
 }  // namespace hh

@@ -5,10 +5,6 @@
 #include <memory>
 #include <vector>
 
-#include "spgemm/gustavson.hpp"
-#include "spgemm/hash_spgemm.hpp"
-#include "spgemm/heap_spgemm.hpp"
-#include "spgemm/row_column.hpp"
 #include "util/check.hpp"
 
 namespace hh {
@@ -23,36 +19,6 @@ std::int64_t shared_accum_cap() {
 void set_shared_accum_cap(std::int64_t cap) {
   HH_CHECK(cap >= 1);
   g_shared_cap.store(cap, std::memory_order_relaxed);
-}
-
-std::string to_string(SpgemmKind kind) {
-  switch (kind) {
-    case SpgemmKind::kGustavson:
-      return "gustavson";
-    case SpgemmKind::kHash:
-      return "hash";
-    case SpgemmKind::kHeap:
-      return "heap";
-    case SpgemmKind::kRowColumn:
-      return "row-column";
-  }
-  return "unknown";
-}
-
-CsrMatrix multiply(const CsrMatrix& a, const CsrMatrix& b, SpgemmKind kind,
-                   ThreadPool& pool) {
-  switch (kind) {
-    case SpgemmKind::kGustavson:
-      return gustavson_spgemm_parallel(a, b, pool);
-    case SpgemmKind::kHash:
-      return hash_spgemm_parallel(a, b, pool);
-    case SpgemmKind::kHeap:
-      return heap_spgemm_parallel(a, b, pool);
-    case SpgemmKind::kRowColumn:
-      return row_column_spgemm(a, b);
-  }
-  HH_CHECK_MSG(false, "unreachable");
-  return {};
 }
 
 void ProductStats::accumulate(const ProductStats& o) {

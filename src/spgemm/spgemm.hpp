@@ -1,11 +1,12 @@
-// Public SpGEMM entry points: algorithm dispatch for full products, and the
-// masked partial-product kernel used by the heterogeneous algorithms to
-// compute A_X × B_Y (X, Y ∈ {H, L}) without physically splitting matrices.
+// The library's one SpGEMM kernel: the masked partial product the
+// heterogeneous algorithms use to compute A_X × B_Y (X, Y ∈ {H, L}) without
+// physically splitting matrices, with the cost statistics the simulated
+// devices charge for it. Full products for checking results come from the
+// sequential reference in spgemm/gustavson.hpp.
 #pragma once
 
 #include <cstdint>
 #include <span>
-#include <string>
 
 #include "sparse/csr.hpp"
 #include "sparse/row_runs.hpp"
@@ -13,20 +14,6 @@
 #include "util/thread_pool.hpp"
 
 namespace hh {
-
-enum class SpgemmKind {
-  kGustavson,  // SPA accumulator (MKL-like tuned CPU kernel)
-  kHash,       // hash accumulator
-  kHeap,       // k-way merge
-  kRowColumn,  // row-column formulation (demonstrably inferior, §II-A)
-};
-
-std::string to_string(SpgemmKind kind);
-
-/// Full product with the selected algorithm. All kinds produce identical,
-/// row-sorted CSR output.
-CsrMatrix multiply(const CsrMatrix& a, const CsrMatrix& b, SpgemmKind kind,
-                   ThreadPool& pool);
 
 /// Cost-relevant statistics of one partial-product kernel invocation.
 /// The simulated devices (src/device/) convert these into time; they are

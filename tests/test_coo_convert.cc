@@ -8,36 +8,6 @@
 namespace hh {
 namespace {
 
-TEST(Coo, PushAndValidate) {
-  CooMatrix c(3, 3);
-  c.push(0, 1, 2.0);
-  c.push(2, 2, 3.0);
-  c.validate();
-  EXPECT_EQ(c.nnz(), 2u);
-}
-
-TEST(Coo, ValidateCatchesOutOfRange) {
-  CooMatrix c(2, 2);
-  c.push(0, 5, 1.0);
-  EXPECT_THROW(c.validate(), CheckError);
-}
-
-TEST(Convert, CsrCooRoundTrip) {
-  const CsrMatrix m = test::random_csr(20, 15, 0.2, 77);
-  const CsrMatrix back = coo_to_csr(csr_to_coo(m));
-  std::string why;
-  EXPECT_TRUE(approx_equal(m, back, 1e-12, &why)) << why;
-}
-
-TEST(Convert, CooToCsrSumsDuplicates) {
-  CooMatrix c(2, 2);
-  c.push(0, 1, 1.0);
-  c.push(0, 1, 2.5);
-  const CsrMatrix m = coo_to_csr(c);
-  EXPECT_EQ(m.nnz(), 1);
-  EXPECT_DOUBLE_EQ(m.values[0], 3.5);
-}
-
 TEST(Convert, TransposeTwiceIsIdentity) {
   const CsrMatrix m = test::random_csr(12, 18, 0.3, 5);
   const CsrMatrix tt = transpose(transpose(m));

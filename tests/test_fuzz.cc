@@ -2,16 +2,19 @@
 // reader, workload logs, perf baselines and MatrixMarket files. Each seed
 // input is mutated thousands of times (bit flips, byte inserts and deletes,
 // truncation, digit swaps) with a fixed PRNG seed, and every mutant is fed
-// to every parser. A parser must either accept the mutant or throw
-// ParseError; any other exception fails the test, and a crash or a
+// to every parser. MatrixMarket files also get size lines inflated far past
+// the reader's dimension limit. A parser must either accept the mutant or
+// throw ParseError; any other exception fails the test, and a crash or a
 // sanitizer report fails it under the asan-debug and ubsan-debug presets.
 // It is gtest-driven so that it runs without a libFuzzer toolchain.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <exception>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "device/platform.hpp"
 #include "obs/perf_baseline.hpp"
@@ -103,6 +106,34 @@ std::string mutate(const std::string& seed, Xoshiro256& rng) {
   return s;
 }
 
+// `mtx` with one field of its size line (the first line after the banner
+// that is not a comment) replaced by a count of 10 to 25 digits: at least
+// 10^9, far past kMaxMatrixMarketDim and the entries a small file holds.
+std::string inflate_size_line(const std::string& mtx, Xoshiro256& rng) {
+  std::size_t begin = mtx.find('\n');
+  while (begin != std::string::npos && begin + 1 < mtx.size() &&
+         mtx[begin + 1] == '%') {
+    begin = mtx.find('\n', begin + 1);
+  }
+  if (begin == std::string::npos) return mtx;
+  ++begin;
+  const std::size_t end = std::min(mtx.find('\n', begin), mtx.size());
+  std::istringstream line(mtx.substr(begin, end - begin));
+  std::vector<std::string> fields;
+  for (std::string f; line >> f;) fields.push_back(f);
+  if (fields.empty()) return mtx;
+  std::string& field = fields[rng.below(fields.size())];
+  field = std::to_string(1 + rng.below(9));
+  for (auto d = 9 + rng.below(16); d > 0; --d) {
+    field += static_cast<char>('0' + rng.below(10));
+  }
+  std::string size_line;
+  for (const std::string& f : fields) {
+    size_line += (size_line.empty() ? "" : " ") + f;
+  }
+  return mtx.substr(0, begin) + size_line + mtx.substr(end);
+}
+
 // Runs `parse` on `input`; returns false (after reporting) if it threw
 // anything but ParseError.
 template <typename Parse>
@@ -162,6 +193,24 @@ TEST(InputFuzz, SmallMatrixMarketFile) {
   std::istringstream in(seed);
   ASSERT_EQ(read_matrix_market(in).rows, 6);
   fuzz(seed, 3);
+}
+
+TEST(InputFuzz, InflatedMatrixMarketSizeLine) {
+  // Each inflated size line of the clean file is a ParseError, never an
+  // allocation sized from the claim.
+  const std::string seed = small_matrix_market();
+  Xoshiro256 rng(5);
+  for (int i = 0; i < 300; ++i) {
+    const std::string mutant = inflate_size_line(seed, rng);
+    std::istringstream in(mutant);
+    EXPECT_THROW(read_matrix_market(in), ParseError) << mutant;
+  }
+  // Mutated files with an inflated size line go to every parser.
+  for (int i = 0; i < kMutantsPerSeed; ++i) {
+    if (!every_parser_survives(inflate_size_line(mutate(seed, rng), rng))) {
+      return;
+    }
+  }
 }
 
 TEST(InputFuzz, DeepNesting) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "sparse/equality.hpp"
 #include "test_util.hpp"
@@ -117,6 +118,29 @@ TEST(MmIo, RejectsDimensionOverflow) {
       "1 1 1.0\n");
 }
 
+TEST(MmIo, RejectsDimensionsAboveTheLimit) {
+  // A valid three-line file whose row count alone would size a 16 GB CSR
+  // row-pointer array; then a huge column count, which would size every SPA.
+  expect_parse_error(
+      "%%MatrixMarket matrix coordinate real general\n"
+      "2000000000 2000000000 1\n1 1 1.0\n");
+  expect_parse_error(
+      "%%MatrixMarket matrix coordinate real general\n"
+      "2 2000000000 1\n1 1 1.0\n");
+  // One past the limit fails, and the error names the limit.
+  std::stringstream ss("%%MatrixMarket matrix coordinate real general\n" +
+                       std::to_string(kMaxMatrixMarketDim + 1) +
+                       " 2 1\n1 1 1.0\n");
+  try {
+    read_matrix_market(ss);
+    FAIL() << "accepted a row count above the limit";
+  } catch (const ParseError& e) {
+    EXPECT_NE(std::string(e.what()).find(std::to_string(kMaxMatrixMarketDim)),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(MmIo, RejectsEntryCountExceedingCells) {
   expect_parse_error(
       "%%MatrixMarket matrix coordinate real general\n2 2 5\n"
@@ -165,11 +189,11 @@ TEST(MmIo, RejectsTruncatedEntries) {
 }
 
 TEST(MmIo, RejectsHugeClaimedEntryCountAsTruncated) {
-  // 10^12 claimed entries pass the rows*cols bound (4e18); the reader must
+  // 10^12 claimed entries pass the rows*cols bound (2.5e15); the reader must
   // not size its buffers from the claim before reading a single entry.
   std::stringstream ss(
       "%%MatrixMarket matrix coordinate real general\n"
-      "2000000000 2000000000 1000000000000\n1 1 1.0\n");
+      "50000000 50000000 1000000000000\n1 1 1.0\n");
   try {
     read_matrix_market(ss);
     FAIL() << "accepted a truncated entry list";

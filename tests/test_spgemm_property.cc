@@ -1,14 +1,14 @@
-// Property-based sweep: every kernel must agree with the dense reference on
-// a grid of shapes × densities, plus algebraic identities that any correct
-// SpGEMM satisfies.
+// Property-based sweep: the sequential reference product and HH-CPU, as the
+// service runs it, must agree with the dense reference on a grid of shapes ×
+// densities, plus algebraic identities that any correct SpGEMM satisfies.
 #include <gtest/gtest.h>
 
 #include <tuple>
 
+#include "core/hh_cpu.hpp"
 #include "gen/powerlaw_gen.hpp"
 #include "sparse/convert.hpp"
 #include "spgemm/gustavson.hpp"
-#include "spgemm/spgemm.hpp"
 #include "test_util.hpp"
 
 namespace hh {
@@ -16,29 +16,36 @@ namespace {
 
 using Shape = std::tuple<int, int, int, double>;  // m, p, n, density
 
+// The products under test. kHhCpu runs Algorithm HH-CPU on a 2-thread pool,
+// so every shape reaches partial_product_tuples and merged_runs_to_csr.
+enum class Product { kGustavson, kHhCpu };
+
 class SpgemmGrid
-    : public testing::TestWithParam<std::tuple<Shape, SpgemmKind>> {};
+    : public testing::TestWithParam<std::tuple<Shape, Product>> {};
 
 TEST_P(SpgemmGrid, MatchesReference) {
-  const auto& [shape, kind] = GetParam();
+  const auto& [shape, product] = GetParam();
   const auto& [m, p, n, density] = shape;
   const CsrMatrix a = test::random_csr(m, p, density, 1000 + m * 7 + p);
   const CsrMatrix b = test::random_csr(p, n, density, 2000 + n * 13 + p);
+  if (product == Product::kGustavson) {
+    test::expect_matches_reference(a, b, gustavson_spgemm(a, b), "gustavson");
+    return;
+  }
   ThreadPool pool(2);
-  test::expect_matches_reference(a, b, multiply(a, b, kind, pool));
+  const RunResult res = run_hh_cpu(a, b, {}, HeteroPlatform{}, pool);
+  test::expect_matches_reference(a, b, res.c, "hh-cpu");
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    ShapesAndKinds, SpgemmGrid,
+    ShapesAndProducts, SpgemmGrid,
     testing::Combine(testing::Values(Shape{1, 1, 1, 1.0}, Shape{1, 8, 1, 0.5},
                                      Shape{8, 1, 8, 0.5}, Shape{16, 16, 16, 0.05},
                                      Shape{16, 16, 16, 0.3},
                                      Shape{33, 17, 9, 0.2},
                                      Shape{9, 17, 33, 0.2},
                                      Shape{40, 40, 40, 0.1}),
-                     testing::Values(SpgemmKind::kGustavson, SpgemmKind::kHash,
-                                     SpgemmKind::kHeap,
-                                     SpgemmKind::kRowColumn)));
+                     testing::Values(Product::kGustavson, Product::kHhCpu)));
 
 class AlgebraTest : public testing::TestWithParam<std::uint64_t> {};
 

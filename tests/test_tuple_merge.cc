@@ -5,10 +5,11 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstdint>
 #include <initializer_list>
 #include <numeric>
+#include <vector>
 
-#include "sparse/equality.hpp"
 #include "test_util.hpp"
 #include "util/check.hpp"
 #include "util/prng.hpp"
@@ -16,28 +17,37 @@
 namespace hh {
 namespace {
 
+// Tuples in input order, as the parts hand them to the merge.
+struct Triplets {
+  index_t rows = 0;
+  index_t cols = 0;
+  std::vector<index_t> r;
+  std::vector<index_t> c;
+  std::vector<value_t> v;
+};
+
 // The merge's contract written out the slow way: stable-sort the tuple
 // indices by (r, c), then sum each run of equal keys from +0.0 in input
 // order.
-CsrMatrix reference_merge(const CooMatrix& coo) {
-  std::vector<std::size_t> perm(coo.nnz());
+CsrMatrix reference_merge(const Triplets& t) {
+  std::vector<std::size_t> perm(t.r.size());
   std::iota(perm.begin(), perm.end(), std::size_t{0});
   std::stable_sort(perm.begin(), perm.end(), [&](std::size_t x, std::size_t y) {
-    return coo.r[x] != coo.r[y] ? coo.r[x] < coo.r[y] : coo.c[x] < coo.c[y];
+    return t.r[x] != t.r[y] ? t.r[x] < t.r[y] : t.c[x] < t.c[y];
   });
-  CsrMatrix out(coo.rows, coo.cols);
+  CsrMatrix out(t.rows, t.cols);
   for (std::size_t i = 0; i < perm.size();) {
-    const index_t r = coo.r[perm[i]];
-    const index_t c = coo.c[perm[i]];
+    const index_t r = t.r[perm[i]];
+    const index_t c = t.c[perm[i]];
     value_t sum = 0.0;
-    for (; i < perm.size() && coo.r[perm[i]] == r && coo.c[perm[i]] == c; ++i) {
-      sum += coo.v[perm[i]];
+    for (; i < perm.size() && t.r[perm[i]] == r && t.c[perm[i]] == c; ++i) {
+      sum += t.v[perm[i]];
     }
     out.indices.push_back(c);
     out.values.push_back(sum);
     out.indptr[r + 1]++;
   }
-  for (index_t r = 0; r < coo.rows; ++r) out.indptr[r + 1] += out.indptr[r];
+  for (index_t r = 0; r < t.rows; ++r) out.indptr[r + 1] += out.indptr[r];
   return out;
 }
 
@@ -63,32 +73,19 @@ value_t order_sensitive_value(Xoshiro256& rng) {
   return rng.below(2) == 0 ? v : -v;
 }
 
-// Push every row of `coo` in row order, each with up to `per_row` random
-// distinct columns, ascending.
-void push_sorted_rows(CooMatrix& coo, int per_row, Xoshiro256& rng) {
-  for (index_t r = 0; r < coo.rows; ++r) {
-    std::vector<index_t> row_cols;
-    for (int k = 0; k < per_row; ++k) {
-      row_cols.push_back(static_cast<index_t>(rng.below(coo.cols)));
-    }
-    std::sort(row_cols.begin(), row_cols.end());
-    row_cols.erase(std::unique(row_cols.begin(), row_cols.end()),
-                   row_cols.end());
-    for (const index_t c : row_cols) coo.push(r, c, order_sensitive_value(rng));
-  }
-}
-
-// The tuples of `parts`, in part order and run order, as one COO.
-CooMatrix as_coo(std::initializer_list<const RowRunBuffer*> parts) {
-  CooMatrix coo((*parts.begin())->rows, (*parts.begin())->cols);
+// The tuples of `parts`, in part order and run order.
+Triplets as_triplets(std::initializer_list<const RowRunBuffer*> parts) {
+  Triplets t{(*parts.begin())->rows, (*parts.begin())->cols, {}, {}, {}};
   for (const RowRunBuffer* p : parts) {
     for (std::size_t k = 0; k < p->runs(); ++k) {
       for (offset_t i = p->run_begin(k); i < p->run_end[k]; ++i) {
-        coo.push(p->run_row[k], p->col[i], p->val[i]);
+        t.r.push_back(p->run_row[k]);
+        t.c.push_back(p->col[i]);
+        t.v.push_back(p->val[i]);
       }
     }
   }
-  return coo;
+  return t;
 }
 
 // A run of `row` holding up to `per_row` random distinct columns, ascending.
@@ -115,173 +112,22 @@ RowRunBuffer runs_part(index_t rows, index_t cols,
   return buf;
 }
 
-// The run merge of `parts` against the COO merge of the same tuples in the
-// same order, bit for bit, stats included.
-void expect_merges_like_coo(std::initializer_list<const RowRunBuffer*> parts,
-                            ThreadPool& pool) {
+// The run merge of `parts` against the reference merge of the same tuples in
+// the same order, bit for bit, stats included.
+void expect_merges_like_reference(
+    std::initializer_list<const RowRunBuffer*> parts, ThreadPool& pool) {
   const std::vector<const RowRunBuffer*> list(parts);
-  MergeStats run_stats, coo_stats;
-  const CsrMatrix got = merged_runs_to_csr(list, pool, &run_stats);
-  const CooMatrix coo = as_coo(parts);
-  expect_bit_identical(merged_coo_to_csr(coo, pool, &coo_stats), got);
-  expect_bit_identical(reference_merge(coo), got);
-  EXPECT_EQ(run_stats.tuples_in, coo_stats.tuples_in);
-  EXPECT_EQ(run_stats.tuples_out, coo_stats.tuples_out);
-}
-
-TEST(TupleMerge, CombinesDuplicates) {
-  CooMatrix coo(3, 3);
-  coo.push(1, 2, 1.0);
-  coo.push(0, 0, 5.0);
-  coo.push(1, 2, 2.0);
-  coo.push(1, 2, 4.0);
   MergeStats stats;
-  const CsrMatrix m = merged_coo_to_csr(coo, &stats);
-  m.validate(true);
-  EXPECT_EQ(m.nnz(), 2);
-  EXPECT_EQ(stats.tuples_in, 4);
-  EXPECT_EQ(stats.tuples_out, 2);
-  EXPECT_DOUBLE_EQ(m.row_values(1)[0], 7.0);
+  const CsrMatrix got = merged_runs_to_csr(list, pool, &stats);
+  got.validate(true);
+  const Triplets tuples = as_triplets(parts);
+  const CsrMatrix want = reference_merge(tuples);
+  expect_bit_identical(want, got);
+  EXPECT_EQ(stats.tuples_in, static_cast<std::int64_t>(tuples.r.size()));
+  EXPECT_EQ(stats.tuples_out, want.nnz());
 }
 
-TEST(TupleMerge, EmptyInput) {
-  CooMatrix coo(5, 5);
-  MergeStats stats;
-  const CsrMatrix m = merged_coo_to_csr(coo, &stats);
-  m.validate();
-  EXPECT_EQ(m.nnz(), 0);
-  EXPECT_EQ(stats.tuples_in, 0);
-}
-
-TEST(TupleMerge, MatchesTripletBuilder) {
-  Xoshiro256 rng(55);
-  CooMatrix coo(30, 30);
-  std::vector<index_t> tr, tc;
-  std::vector<value_t> tv;
-  for (int i = 0; i < 500; ++i) {
-    const auto r = static_cast<index_t>(rng.below(30));
-    const auto c = static_cast<index_t>(rng.below(30));
-    const value_t v = rng.uniform();
-    coo.push(r, c, v);
-    tr.push_back(r);
-    tc.push_back(c);
-    tv.push_back(v);
-  }
-  const CsrMatrix got = merged_coo_to_csr(coo);
-  const CsrMatrix want = csr_from_triplets(30, 30, tr, tc, tv);
-  std::string why;
-  EXPECT_TRUE(approx_equal(want, got, 1e-9, &why)) << why;
-}
-
-TEST(TupleMerge, DeterministicAcrossPoolSizes) {
-  // 4,000 rows: a 4-thread pool splits the per-row pass into 16 blocks.
-  Xoshiro256 rng(66);
-  CooMatrix coo(4000, 400);
-  for (int i = 0; i < 60000; ++i) {
-    coo.push(static_cast<index_t>(rng.below(4000)),
-             static_cast<index_t>(rng.below(400)), order_sensitive_value(rng));
-  }
-  ThreadPool pool1(1), pool4(4);
-  const CsrMatrix a = merged_coo_to_csr(coo, pool1);
-  const CsrMatrix b = merged_coo_to_csr(coo, pool4);
-  expect_bit_identical(a, b);
-  expect_bit_identical(reference_merge(coo), b);
-}
-
-TEST(TupleMerge, BitIdenticalWithThreeOrMoreDuplicatesPerKey) {
-  Xoshiro256 rng(7);
-  std::vector<std::pair<index_t, index_t>> keys;
-  for (index_t r = 0; r < 300; ++r) {
-    for (index_t c = 0; c < 300; c += 1 + static_cast<index_t>(rng.below(40))) {
-      const int copies = 3 + static_cast<int>(rng.below(4));
-      for (int k = 0; k < copies; ++k) keys.emplace_back(r, c);
-    }
-  }
-  for (std::size_t i = keys.size(); i > 1; --i) {
-    std::swap(keys[i - 1], keys[rng.below(i)]);
-  }
-  CooMatrix coo(300, 300);
-  for (const auto& [r, c] : keys) coo.push(r, c, order_sensitive_value(rng));
-  ThreadPool pool(4);
-  expect_bit_identical(reference_merge(coo), merged_coo_to_csr(coo, pool));
-}
-
-TEST(TupleMerge, BitIdenticalOnUnsortedAndTwoRunRows) {
-  Xoshiro256 rng(8);
-  // Two row-sorted passes with overlapping columns: every row is two sorted
-  // runs.
-  CooMatrix coo(500, 200);
-  push_sorted_rows(coo, 12, rng);
-  push_sorted_rows(coo, 9, rng);
-  // Rows 0..99 again, in shuffled column order: many runs per row.
-  for (index_t r = 0; r < 100; ++r) {
-    for (int k = 0; k < 20; ++k) {
-      coo.push(r, static_cast<index_t>(rng.below(200)),
-               order_sensitive_value(rng));
-    }
-  }
-  ThreadPool pool(4);
-  expect_bit_identical(reference_merge(coo), merged_coo_to_csr(coo, pool));
-}
-
-TEST(TupleMerge, BitIdenticalWithEmptyRows) {
-  Xoshiro256 rng(9);
-  CooMatrix coo(1000, 50);
-  for (int i = 0; i < 3000; ++i) {
-    // Only every seventh row gets tuples; the first and last rows stay empty.
-    const auto r = static_cast<index_t>(7 * (1 + rng.below(141)));
-    coo.push(r, static_cast<index_t>(rng.below(50)),
-             order_sensitive_value(rng));
-  }
-  const CsrMatrix got = merged_coo_to_csr(coo);
-  EXPECT_EQ(got.row_nnz(0), 0);
-  EXPECT_EQ(got.row_nnz(999), 0);
-  expect_bit_identical(reference_merge(coo), got);
-}
-
-TEST(TupleMerge, SumsStartFromPositiveZero) {
-  // 0 + -0.0 == +0.0: a key whose tuples are all -0.0 merges to +0.0.
-  CooMatrix coo(2, 4);
-  coo.push(0, 3, -0.0);
-  coo.push(1, 1, -0.0);
-  coo.push(0, 1, 2.0);
-  coo.push(1, 1, -0.0);
-  const CsrMatrix got = merged_coo_to_csr(coo);
-  ASSERT_EQ(got.nnz(), 3);
-  EXPECT_FALSE(std::signbit(got.row_values(0)[1]));  // one -0.0
-  EXPECT_FALSE(std::signbit(got.row_values(1)[0]));  // -0.0 twice
-  expect_bit_identical(reference_merge(coo), got);
-}
-
-TEST(TupleMerge, RejectsOutOfRangeTuples) {
-  // Negative and one-past-the-end columns, then the same for rows.
-  const std::pair<index_t, index_t> bad[] = {{1, -1}, {2, 3}, {-1, 0}, {3, 0}};
-  for (const auto& [r, c] : bad) {
-    CooMatrix coo(3, 3);
-    coo.push(1, 0, 1.0);
-    coo.push(r, c, 1.0);
-    EXPECT_THROW(merged_coo_to_csr(coo), CheckError) << r << ", " << c;
-  }
-}
-
-TEST(TupleMerge, OutputSortedWithinRows) {
-  CooMatrix coo(2, 10);
-  coo.push(0, 9, 1.0);
-  coo.push(0, 3, 1.0);
-  coo.push(0, 7, 1.0);
-  const CsrMatrix m = merged_coo_to_csr(coo);
-  m.validate(true);
-}
-
-TEST(TupleMerge, PreservesEmptyTrailingRows) {
-  CooMatrix coo(10, 10);
-  coo.push(0, 0, 1.0);
-  const CsrMatrix m = merged_coo_to_csr(coo);
-  EXPECT_EQ(m.rows, 10);
-  EXPECT_EQ(m.row_nnz(9), 0);
-}
-
-TEST(RunMerge, MatchesCooMergeOfPhaseParts) {
+TEST(RunMerge, MatchesReferenceOnPhaseParts) {
   // As HH-CPU emits them: Phase II A_H×B_H over the high rows, A_L×B_L over
   // the low rows, then the queue over every row in unit order (low rows from
   // the front, high rows from the back). Rows hold one or two runs.
@@ -301,7 +147,7 @@ TEST(RunMerge, MatchesCooMergeOfPhaseParts) {
   }
   const RowRunBuffer queue = runs_part(600, 300, queue_rows, 12, rng);
   ThreadPool pool(4);
-  expect_merges_like_coo({&hh, &ll, &queue}, pool);
+  expect_merges_like_reference({&hh, &ll, &queue}, pool);
 }
 
 TEST(RunMerge, RowsOfOneTwoAndMoreRuns) {
@@ -313,9 +159,22 @@ TEST(RunMerge, RowsOfOneTwoAndMoreRuns) {
       push_run(k % 3 == 0 ? first : second, r, 10, rng);
     }
   }
+  // Every key of `dense` repeats in three to six runs: each run holds every
+  // column.
+  RowRunBuffer dense(50, 8);
+  for (index_t r = 0; r < 50; ++r) {
+    for (int k = 0; k < 3 + r % 4; ++k) {
+      for (index_t c = 0; c < dense.cols; ++c) {
+        dense.col.push_back(c);
+        dense.val.push_back(order_sensitive_value(rng));
+      }
+      dense.end_run(r);
+    }
+  }
   ThreadPool pool(4);
-  expect_merges_like_coo({&first, &second}, pool);
-  expect_merges_like_coo({&second, &first}, pool);
+  expect_merges_like_reference({&first, &second}, pool);
+  expect_merges_like_reference({&second, &first}, pool);
+  expect_merges_like_reference({&dense}, pool);
 }
 
 TEST(RunMerge, EmptyPartsAndEmptyRuns) {
@@ -329,12 +188,15 @@ TEST(RunMerge, EmptyPartsAndEmptyRuns) {
   RowRunBuffer all_empty(20, 20);
   for (index_t r = 0; r < 20; ++r) all_empty.end_run(r);
   ThreadPool pool(2);
-  expect_merges_like_coo({&none, &some, &all_empty}, pool);
-  expect_merges_like_coo({&none}, pool);
-  expect_merges_like_coo({&all_empty, &none}, pool);
+  expect_merges_like_reference({&none, &some, &all_empty}, pool);
+  expect_merges_like_reference({&none}, pool);
+  expect_merges_like_reference({&all_empty, &none}, pool);
   const RowRunBuffer* parts[] = {&none, &some, &all_empty};
   const CsrMatrix got = merged_runs_to_csr(parts, pool);
+  EXPECT_EQ(got.rows, 20);
+  EXPECT_EQ(got.row_nnz(0), 0);   // leading empty row
   EXPECT_EQ(got.row_nnz(7), 0);
+  EXPECT_EQ(got.row_nnz(19), 0);  // trailing empty row
   EXPECT_EQ(got.nnz(), static_cast<offset_t>(some.nnz()));
 }
 
@@ -363,7 +225,7 @@ TEST(RunMerge, SumsStartFromPositiveZero) {
   for (const value_t v : got.values) {
     EXPECT_FALSE(std::signbit(v)) << v;
   }
-  expect_merges_like_coo({&hh, &queue}, pool);
+  expect_merges_like_reference({&hh, &queue}, pool);
 }
 
 TEST(RunMerge, RejectsOutOfRangeRowsAndColumns) {
@@ -425,7 +287,7 @@ TEST(RunMerge, DeterministicAcrossPoolSizes) {
   const CsrMatrix a = merged_runs_to_csr(parts, pool1);
   const CsrMatrix b = merged_runs_to_csr(parts, pool4);
   expect_bit_identical(a, b);
-  expect_bit_identical(reference_merge(as_coo({&phase2, &queue})), b);
+  expect_bit_identical(reference_merge(as_triplets({&phase2, &queue})), b);
 }
 
 }  // namespace
