@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "core/hh_stages.hpp"
+#include "core/threshold.hpp"
 #include "gen/datasets.hpp"
 #include "gen/powerlaw_gen.hpp"
 #include "primitives/tuple_merge.hpp"
@@ -59,6 +60,27 @@ void BM_PartialProduct(benchmark::State& state) {
 BENCHMARK(BM_PartialProduct)
     ->ArgsProduct({{0, 1, 2}, {1, 4}})
     ->ArgNames({"dataset", "threads"})
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
+// sweep_thresholds, the analytic Phase I plan: every candidate of the
+// threshold grid for A×A over a Table-I analogue at scale 0.02. Items are
+// A's nonzeros.
+void BM_ThresholdSweep(benchmark::State& state) {
+  static constexpr const char* kDatasets[] = {"webbase-1M", "cit-Patents",
+                                              "roadNet-CA", "web-Google"};
+  const hh::DatasetSpec& spec = hh::dataset_spec(kDatasets[state.range(0)]);
+  const hh::CsrMatrix a = hh::make_dataset(spec, 0.02);
+  const hh::HeteroPlatform platform;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(hh::sweep_thresholds(a, a, platform));
+  }
+  state.SetLabel(spec.name);
+  state.SetItemsProcessed(state.iterations() * a.nnz());
+}
+BENCHMARK(BM_ThresholdSweep)
+    ->DenseRange(0, 3)
+    ->ArgName("dataset")
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 

@@ -5,6 +5,10 @@
 // small candidate grid with structure-only estimates and the device models
 // — the architecture-aware analytic method — and threshold_candidates()
 // exposes the grid so benches can run the full empirical sweep of Fig. 8.
+// The analytic sweep builds every candidate's estimates in one pass over A
+// (threshold_stats(), after Liu & Vinter's one-pass binning of rows by an
+// upper bound) and prices each with the same arithmetic predict_breakdown()
+// applies to a single t.
 //
 // The online autotuner (src/tune/) closes the remaining gap between the two:
 // predict_breakdown() exposes the per-device components of the prediction so
@@ -14,10 +18,12 @@
 // the uncorrected predictions bit-for-bit.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "device/platform.hpp"
 #include "sparse/csr.hpp"
+#include "spgemm/spgemm.hpp"
 
 namespace hh {
 
@@ -52,11 +58,42 @@ struct PredictedBreakdown {
   double total_s = 0;
 };
 
+/// Structure-only statistics of HH-CPU's four partial products at one
+/// threshold t (same t for A and B): each field of each product equals what
+/// estimate_partial_product() returns for it over classify_rows(a, t) and
+/// classify_rows(b, t). A product run_hh_cpu skips because one of its sides
+/// is empty is all-zero, as it is in the cost model.
+struct ThresholdStats {
+  ProductStats hh;          // A_H × B_H; zero unless A_H and B_H are non-empty
+  ProductStats ll;          // A_L × B_L; zero unless A_L and B_L are non-empty
+  ProductStats lh;          // A_L × B_H; zero unless B_H is non-empty
+  ProductStats hl;          // A_H × B_L; zero unless B_L is non-empty
+  index_t a_high_rows = 0;  // |A_H|
+  index_t b_high_rows = 0;  // |B_H|
+  offset_t b_high_nnz = 0;  // nnz(B_H)
+  offset_t b_low_nnz = 0;   // nnz(B_L)
+};
+
+/// ThresholdStats for every t of `grid` (strictly ascending), parallel to
+/// it, from one pass over A's nonzeros. Each row of A and of B falls in the
+/// bucket of grid candidates it is high for (a row of nnz n is high for every
+/// t <= n); each A nonzero adds its additive fields to one (A bucket,
+/// B bucket) cell, and a running sum over the B buckets of each A row's flops
+/// gives that row's flops at every candidate for the per-row fields
+/// (rows, max_row_flops, the shared/global split). Costs one pass over A's
+/// nonzeros plus O(rows·|grid| + |grid|³), against |grid| passes for one
+/// estimate_partial_product() sweep per candidate.
+std::vector<ThresholdStats> threshold_stats(const CsrMatrix& a,
+                                            const CsrMatrix& b,
+                                            std::span<const offset_t> grid);
+
 /// Predict HH-CPU's time components for threshold t (same t for A and B, as
 /// in the paper's per-matrix sweep) from symbolic estimates: Phase II is the
 /// max of the two device products, Phase III is the harmonic sharing of the
 /// cross products between the devices. Each component is scaled by the
 /// matching CostCorrection factor before the overlap/harmonic combination.
+/// This is threshold_stats() over the one-point grid {t}, priced by the same
+/// arithmetic sweep_thresholds() applies to every candidate.
 PredictedBreakdown predict_breakdown(const CsrMatrix& a, const CsrMatrix& b,
                                      offset_t t,
                                      const HeteroPlatform& platform,
@@ -69,9 +106,11 @@ double predict_total_time(const CsrMatrix& a, const CsrMatrix& b, offset_t t,
                           const CostCorrection& correction = {});
 
 /// The full analytic sweep: predicted total for every grid candidate, plus
-/// the argmin. pick_threshold_analytic() is this sweep reduced to its best
-/// entry; the online tuner keeps the whole ranking so exploration can try
-/// near-tied candidates in predicted order.
+/// the argmin. One threshold_stats() table over threshold_grid(a, b) prices
+/// every candidate, so predicted_s[i] is bit-identical to
+/// predict_total_time(a, b, grid[i], ...). pick_threshold_analytic() is this
+/// sweep reduced to its best entry; the online tuner keeps the whole ranking
+/// so exploration can try near-tied candidates in predicted order.
 struct ThresholdSweep {
   std::vector<offset_t> grid;       // ascending, deduplicated
   std::vector<double> predicted_s;  // parallel to grid

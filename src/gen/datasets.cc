@@ -9,6 +9,7 @@
 #include "util/check.hpp"
 #include "util/log.hpp"
 #include "util/prng.hpp"
+#include "util/status.hpp"
 
 namespace hh {
 namespace {
@@ -45,8 +46,7 @@ const DatasetSpec& dataset_spec(const std::string& name) {
   for (const auto& spec : kTable1) {
     if (name == spec.name) return spec;
   }
-  HH_CHECK_MSG(false, "unknown dataset " << name);
-  return kTable1[0];  // unreachable
+  throw InvalidArgumentError("unknown dataset " + name);
 }
 
 CsrMatrix make_dataset(const DatasetSpec& spec, double scale,

@@ -23,7 +23,7 @@ struct DatasetSpec {
 /// The 12 matrices of Table I, in paper order.
 std::span<const DatasetSpec> table1_datasets();
 
-/// Find a spec by name (throws CheckError if unknown).
+/// Find a spec by name (throws InvalidArgumentError naming it if unknown).
 const DatasetSpec& dataset_spec(const std::string& name);
 
 /// Synthetic analogue at `scale` (rows and nnz scaled; α preserved).

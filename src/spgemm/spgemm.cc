@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <memory>
 #include <vector>
 
@@ -35,6 +36,44 @@ void ProductStats::accumulate(const ProductStats& o) {
 
 namespace {
 
+// Appends the current row's tuples to `out` in ascending column order and
+// clears the row's bits in `touched`. A row whose n touched columns span at
+// most n·bit_width(n) bitmap words reads them back from the bitmap, word by
+// word; a row spread thinner sorts its short column list instead. Both ways
+// emit the same tuples, so the choice cannot change a bit of the output.
+void emit_row(std::vector<index_t>& cols, std::uint64_t* touched,
+              const value_t* acc, RowRunBuffer& out) {
+  const std::size_t n = cols.size();
+  if (n == 0) return;
+  const auto [lo, hi] = std::minmax_element(cols.begin(), cols.end());
+  const auto w_lo = static_cast<std::size_t>(*lo) / 64;
+  const auto w_hi = static_cast<std::size_t>(*hi) / 64;
+  const std::size_t base = out.col.size();
+  out.col.resize(base + n);
+  out.val.resize(base + n);
+  index_t* col_out = out.col.data() + base;
+  value_t* val_out = out.val.data() + base;
+  if (w_hi - w_lo + 1 <= n * std::bit_width(n)) {
+    for (std::size_t w = w_lo; w <= w_hi; ++w) {
+      std::uint64_t bits = touched[w];
+      touched[w] = 0;
+      while (bits != 0) {
+        const auto col = static_cast<index_t>(w * 64 + std::countr_zero(bits));
+        bits &= bits - 1;
+        *col_out++ = col;
+        *val_out++ = acc[col];
+      }
+    }
+  } else {
+    std::sort(cols.begin(), cols.end());
+    for (const index_t col : cols) {
+      touched[static_cast<std::size_t>(col) / 64] = 0;
+      *col_out++ = col;
+      *val_out++ = acc[col];
+    }
+  }
+}
+
 // Per-block worker: SPA-accumulate the assigned a_rows slice, appending one
 // run per row to `out` and aggregating stats.
 void partial_rows(const CsrMatrix& a, const CsrMatrix& b,
@@ -43,12 +82,11 @@ void partial_rows(const CsrMatrix& a, const CsrMatrix& b,
                   std::size_t lo, std::size_t hi, SpaWorkspace& ws,
                   RowRunBuffer& out, ProductStats& stats) {
   ws.begin_product(b.cols);
-  std::vector<value_t>& acc = ws.acc;
-  std::vector<std::int64_t>& marker = ws.marker;
+  value_t* acc = ws.acc.data();
+  std::uint64_t* touched = ws.touched.data();
   std::vector<index_t>& cols = ws.cols_touched;
   for (std::size_t idx = lo; idx < hi; ++idx) {
     const index_t i = a_rows[idx];
-    const std::int64_t tag = ws.row_tag(i);
     cols.clear();
     std::int64_t row_flops = 0;
     for (offset_t k = a.indptr[i]; k < a.indptr[i + 1]; ++k) {
@@ -62,20 +100,17 @@ void partial_rows(const CsrMatrix& a, const CsrMatrix& b,
       stats.b_read_bytes += (blen * 12 + 31) / 32 * 32;
       for (offset_t l = b.indptr[j]; l < b.indptr[j + 1]; ++l) {
         const index_t col = b.indices[l];
-        if (marker[col] != tag) {
-          marker[col] = tag;
+        std::uint64_t& word = touched[static_cast<std::size_t>(col) / 64];
+        const std::uint64_t bit = std::uint64_t{1} << (col % 64);
+        if ((word & bit) == 0) {
+          word |= bit;
           acc[col] = value_t{0};
           cols.push_back(col);
         }
         acc[col] += av * b.values[l];
       }
     }
-    std::sort(cols.begin(), cols.end());
-    const std::size_t base = out.val.size();
-    out.col.insert(out.col.end(), cols.begin(), cols.end());
-    out.val.resize(base + cols.size());
-    value_t* val = out.val.data() + base;
-    for (const index_t col : cols) *val++ = acc[col];
+    emit_row(cols, touched, acc, out);
     out.end_run(i);
 
     ++stats.rows;

@@ -1,27 +1,17 @@
 // Symbolic (structure-only) analysis of a sparse product C = A × B.
 //
 // flops(i) = Σ_{j ∈ A(i,:)} nnz(B(j,:)) — the multiply-add count of the
-// row-row formulation for output row i. The paper (§I) stresses that exact
-// per-row output size is as hard as the multiplication itself; these cheap
-// upper bounds are what schedulers can actually use a-priori.
+// row-row formulation for output row i, and an upper bound on its nnz. The
+// paper (§I) stresses that exact per-row output size is as hard as the
+// multiplication itself.
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "sparse/csr.hpp"
 
 namespace hh {
-
-/// Multiply-add count per row of A (also an upper bound on row nnz of C).
-std::vector<offset_t> row_flops(const CsrMatrix& a, const CsrMatrix& b);
-
-/// Same, but only counting contributions through rows j of B with
-/// b_mask[j] == mask_value. b_mask may be empty (= no mask, all rows).
-std::vector<offset_t> row_flops_masked(const CsrMatrix& a, const CsrMatrix& b,
-                                       std::span<const std::uint8_t> b_mask,
-                                       bool mask_value);
 
 /// Total flops of the full product. Accumulated in an explicit 64-bit type:
 /// scale-free products blow past 2^31 intermediate products long before

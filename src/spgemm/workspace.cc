@@ -1,21 +1,11 @@
 #include "spgemm/workspace.hpp"
 
-#include <algorithm>
-
 namespace hh {
 
 void SpaWorkspace::begin_product(index_t cols) {
   const auto n = static_cast<std::size_t>(cols);
-  // Generation 0 is reserved so row_tag() can never collide with the -1
-  // fill of fresh marker entries; wrap long before the 31-bit field packs.
-  if (++generation_ >= (std::int64_t{1} << 30)) {
-    generation_ = 1;
-    std::fill(marker.begin(), marker.end(), std::int64_t{-1});
-  }
-  if (acc.size() < n) {
-    acc.resize(n, value_t{0});
-    marker.resize(n, std::int64_t{-1});
-  }
+  if (acc.size() < n) acc.resize(n, value_t{0});
+  if (touched.size() < (n + 63) / 64) touched.resize((n + 63) / 64, 0);
   cols_touched.clear();
 }
 

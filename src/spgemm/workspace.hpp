@@ -1,7 +1,7 @@
 // Reusable kernel workspaces.
 //
 // Every partial-product invocation needs a dense SPA accumulator (one value
-// + one marker per B column) per block, and row-run tuple buffers: the
+// and one touched bit per B column) per block, and row-run tuple buffers: the
 // caller's part buffer (Phase II A_H×B_H, Phase II A_L×B_L, or the Phase III
 // queue) plus one per extra block of a multi-block call. The one-shot driver
 // allocates them per call and throws them away; a service runtime executing
@@ -16,11 +16,14 @@
 // sequence of calls, never on how many pool threads ran at once.
 //
 // Correctness of SPA reuse: the accumulator is only valid for columns whose
-// marker carries the *current* tag. Tags are (generation, row) pairs packed
-// into 64 bits and the generation is bumped on every begin_product(), so a
-// stale marker from an earlier product can never alias a row of the current
-// one. Pooled and non-pooled runs execute the identical kernel and produce
-// bit-identical tuples.
+// bit is set in the touched-column bitmap. A row sets a column's bit, and
+// zeroes its accumulator, on its first touch of that column, and clears every
+// bit it set while it emits its tuples, so the bitmap is all-zero between
+// rows, between products and whenever a workspace goes back to the pool; no
+// state of an earlier row or product is ever read. (A product that throws
+// frees its workspaces instead of releasing them, so a half-emitted row never
+// reaches the pool.) Pooled and non-pooled runs execute the identical kernel
+// and produce bit-identical tuples.
 #pragma once
 
 #include <cstdint>
@@ -37,20 +40,12 @@ namespace hh {
 class SpaWorkspace {
  public:
   /// Start a new product over a B with `cols` columns: grows the arrays if
-  /// needed and invalidates all markers by bumping the generation.
+  /// needed. The bitmap is already all-zero (see above).
   void begin_product(index_t cols);
 
-  /// Marker tag for row `i` of the current product.
-  std::int64_t row_tag(index_t i) const {
-    return (generation_ << 32) | static_cast<std::uint32_t>(i);
-  }
-
-  std::vector<value_t> acc;           // per-column partial values
-  std::vector<std::int64_t> marker;   // per-column tag of the owning row
-  std::vector<index_t> cols_touched;  // scratch: columns hit by current row
-
- private:
-  std::int64_t generation_ = 0;
+  std::vector<value_t> acc;             // per-column partial values
+  std::vector<std::uint64_t> touched;   // bit c: column c hit by current row
+  std::vector<index_t> cols_touched;    // scratch: columns hit by current row
 };
 
 /// Thread-safe pool of SPA workspaces and row-run tuple buffers. Acquire

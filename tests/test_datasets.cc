@@ -5,6 +5,7 @@
 #include "powerlaw/fit.hpp"
 #include "sparse/row_stats.hpp"
 #include "util/check.hpp"
+#include "util/status.hpp"
 
 namespace hh {
 namespace {
@@ -18,7 +19,13 @@ TEST(Datasets, SpecLookup) {
   EXPECT_EQ(s.rows, 1000005);
   EXPECT_EQ(s.nnz, 3105536);
   EXPECT_DOUBLE_EQ(s.alpha, 2.1);
-  EXPECT_THROW(dataset_spec("no-such-matrix"), CheckError);
+  try {
+    dataset_spec("no-such-matrix");
+    FAIL() << "unknown dataset name accepted";
+  } catch (const InvalidArgumentError& e) {
+    EXPECT_EQ(e.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(std::string(e.what()).find("no-such-matrix"), std::string::npos);
+  }
 }
 
 TEST(Datasets, AnalogueMatchesRowAndNnzBudget) {

@@ -3,7 +3,12 @@
 // to the full product) and the statistics the device models consume.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <memory>
 #include <numeric>
+#include <utility>
+#include <vector>
 
 #include "primitives/tuple_merge.hpp"
 #include "sparse/partition.hpp"
@@ -35,6 +40,55 @@ RowRunBuffer product_runs(const CsrMatrix& a, const CsrMatrix& b,
 CsrMatrix merge(const RowRunBuffer& runs) {
   const RowRunBuffer* parts[] = {&runs};
   return merged_runs_to_csr(parts, ThreadPool::global());
+}
+
+// A CSR matrix from its rows' (column, value) lists, columns ascending.
+using Row = std::vector<std::pair<index_t, value_t>>;
+CsrMatrix from_rows(index_t cols, const std::vector<Row>& rows) {
+  CsrMatrix m(static_cast<index_t>(rows.size()), cols);
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    for (const auto& [c, v] : rows[r]) {
+      m.indices.push_back(c);
+      m.values.push_back(v);
+    }
+    m.indptr[r + 1] = static_cast<offset_t>(m.indices.size());
+  }
+  m.validate(true);
+  return m;
+}
+
+// The runs of the full product A×B against the sequential reference, bit for
+// bit: one run per row, the reference row's columns, and the same value bits
+// (so a −0.0 or +0.0 cannot hide behind operator==).
+void expect_runs_match_gustavson(const CsrMatrix& a, const CsrMatrix& b,
+                                 ThreadPool& pool,
+                                 WorkspacePool* ws = nullptr) {
+  RowRunBuffer runs = acquire_runs(ws, a.rows, b.cols);
+  partial_product_tuples(a, b, all_rows(a.rows), {}, true, pool, runs,
+                         nullptr, ws);
+  const CsrMatrix want = gustavson_spgemm(a, b);
+  EXPECT_EQ(runs.run_row, all_rows(a.rows));
+  EXPECT_EQ(runs.run_end, std::vector<offset_t>(want.indptr.begin() + 1,
+                                                want.indptr.end()));
+  EXPECT_EQ(runs.col, want.indices);
+  ASSERT_EQ(runs.val.size(), want.values.size());
+  for (std::size_t k = 0; k < runs.val.size(); ++k) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(runs.val[k]),
+              std::bit_cast<std::uint64_t>(want.values[k]))
+        << "tuple " << k << " (column " << runs.col[k] << ")";
+  }
+  release_runs(ws, std::move(runs));
+}
+
+// Every SPA workspace in `ws` is back with an all-zero touched bitmap.
+void expect_pooled_bitmaps_clear(WorkspacePool& ws) {
+  std::vector<std::unique_ptr<SpaWorkspace>> spas;
+  const WorkspacePool::Stats st = ws.stats();
+  for (std::int64_t k = 0; k < st.spa_acquires - st.spa_reuses; ++k) {
+    spas.push_back(ws.acquire_spa());
+    for (const std::uint64_t word : spas.back()->touched) EXPECT_EQ(word, 0u);
+  }
+  for (auto& spa : spas) ws.release_spa(std::move(spa));
 }
 
 TEST(PartialProduct, UnmaskedEqualsFullProduct) {
@@ -146,6 +200,92 @@ TEST(PartialProduct, PooledRunsMatchAndPoolCountersFollowTheCalls) {
     EXPECT_EQ(st.spa_live, 0);
     EXPECT_EQ(st.coo_live, 0);
   }
+}
+
+TEST(PartialProduct, BitmapScanAndSortPathsMatchReference) {
+  // A row emits by scanning its bitmap words when its n columns span at most
+  // n·bit_width(n) words, and by sorting its column list otherwise.
+  const index_t cols = 64 * 40 + 5;
+  Row wide_block, overlap;
+  for (index_t c = 100; c < 400; ++c) wide_block.push_back({c, 1.0 + c / 4.0});
+  for (index_t c = 150; c <= 160; ++c) overlap.push_back({c, 0.1 * c});
+  const CsrMatrix b = from_rows(cols, {
+      wide_block,                                // 300 columns in 6 words
+      {{7, 1.5}, {1300, -2.0}, {2560, 3.0}},     // 3 columns over 41 words
+      overlap,
+      {{cols - 1, 0.5}},
+  });
+  const CsrMatrix a = from_rows(4, {
+      {{0, 2.0}, {2, -1.0}},  // n = 300 in 6 words: scan
+      {{1, 1.0}},             // n = 3 over 41 words: sort
+      {},                     // no tuples
+      {{1, 1.0}, {3, 0.5}},   // n = 4 over 41 words: sort
+      {{3, 4.0}},             // n = 1 in 1 word: scan
+      {{0, 1.0}, {1, -1.0}},  // n = 303 over 41 words: scan
+  });
+  // Pooled workspaces carry each row's bitmap into the next call, so a row
+  // that left a bit set would corrupt the repeat.
+  WorkspacePool ws;
+  for (const std::size_t threads : {1u, 4u, 1u}) {
+    ThreadPool pool(threads);
+    expect_runs_match_gustavson(a, b, pool, &ws);
+  }
+  expect_pooled_bitmaps_clear(ws);
+}
+
+TEST(PartialProduct, ColumnsAtWordBoundariesMatchReference) {
+  // Columns 63 and 64 sit on either side of a bitmap word boundary, and
+  // b.cols - 1 in the last, partly used word. The narrow B is scanned; the
+  // wide one spreads the same three columns thin enough to be sorted.
+  for (const index_t cols : {index_t{130}, index_t{64 * 20 + 7}}) {
+    const CsrMatrix b = from_rows(cols, {
+        {{63, 1.0}, {64, 2.0}, {cols - 1, 3.0}},
+        {{0, 0.5}, {63, -1.0}, {64, 0.25}, {cols - 2, 4.0}, {cols - 1, 1.0}},
+    });
+    const CsrMatrix a = from_rows(2, {
+        {{0, 1.0}},
+        {{0, 1.5}, {1, -2.0}},
+        {{1, 3.0}},
+    });
+    ThreadPool pool(1);
+    WorkspacePool ws;
+    expect_runs_match_gustavson(a, b, pool, &ws);
+    expect_runs_match_gustavson(a, b, pool, &ws);
+    expect_pooled_bitmaps_clear(ws);
+  }
+}
+
+TEST(PartialProduct, NegativeZeroTermsKeepTheReferenceBits) {
+  // Every term of column 3 is −0.0 and column 5 cancels exactly; the kernel
+  // starts each column's sum at +0.0 and adds in k order, as the reference
+  // does, so the stored bits agree.
+  const CsrMatrix b = from_rows(8, {
+      {{3, -0.0}, {5, 1.0}},
+      {{3, -0.0}, {5, -1.0}},
+  });
+  const CsrMatrix a = from_rows(2, {
+      {{0, 1.0}, {1, 1.0}},
+      {{0, -1.0}},
+      {{1, 2.0}},
+  });
+  ThreadPool pool(1);
+  expect_runs_match_gustavson(a, b, pool);
+}
+
+TEST(PartialProduct, PooledWorkspaceReusedAcrossWidths) {
+  // One pool serves a wide B, a narrower one and the wide one again: each
+  // product must match the reference, and every workspace must come back
+  // with an all-zero bitmap.
+  const CsrMatrix a = test::random_csr(24, 20, 0.3, 409);
+  const CsrMatrix wide = test::random_csr(20, 1000, 0.05, 410);
+  const CsrMatrix narrow = test::random_csr(20, 70, 0.2, 411);
+  ThreadPool pool(1);
+  WorkspacePool ws;
+  for (const CsrMatrix* b : {&wide, &narrow, &wide}) {
+    expect_runs_match_gustavson(a, *b, pool, &ws);
+  }
+  EXPECT_GT(ws.stats().spa_reuses, 0);
+  expect_pooled_bitmaps_clear(ws);
 }
 
 TEST(PartialProduct, EstimateIsExactOnFlopsAndUpperBoundOnTuples) {

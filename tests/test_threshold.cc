@@ -4,11 +4,15 @@
 
 #include <algorithm>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "core/hh_cpu.hpp"
 #include "gen/datasets.hpp"
 #include "gen/powerlaw_gen.hpp"
+#include "sparse/partition.hpp"
 #include "sparse/row_stats.hpp"
+#include "spgemm/spgemm.hpp"
 #include "test_util.hpp"
 #include "util/check.hpp"
 
@@ -171,6 +175,138 @@ TEST(Threshold, IdentityCorrectionIsBitExact) {
                    predict_total_time(m, m, t, plat);
   }
   EXPECT_TRUE(any_changed);
+}
+
+// The oracle for one threshold_stats() entry: classify both operands at t
+// and run estimate_partial_product() on each product run_hh_cpu would run.
+ThresholdStats oracle_stats(const CsrMatrix& a, const CsrMatrix& b,
+                            offset_t t) {
+  const RowPartition pa = classify_rows(a, t);
+  const RowPartition pb = classify_rows(b, t);
+  ThresholdStats s;
+  s.a_high_rows = pa.high_count();
+  s.b_high_rows = pb.high_count();
+  s.b_high_nnz = pb.high_nnz;
+  s.b_low_nnz = pb.low_nnz;
+  if (pa.high_count() > 0 && pb.high_count() > 0) {
+    s.hh = estimate_partial_product(a, b, pa.high_rows, pb.is_high, true);
+  }
+  if (pa.low_count() > 0 && pb.low_count() > 0) {
+    s.ll = estimate_partial_product(a, b, pa.low_rows, pb.is_high, false);
+  }
+  if (pb.high_count() > 0) {
+    s.lh = estimate_partial_product(a, b, pa.low_rows, pb.is_high, true);
+  }
+  if (pb.low_count() > 0) {
+    s.hl = estimate_partial_product(a, b, pa.high_rows, pb.is_high, false);
+  }
+  return s;
+}
+
+void expect_same_stats(const ProductStats& got, const ProductStats& want,
+                       const std::string& where) {
+  EXPECT_EQ(got.rows, want.rows) << where;
+  EXPECT_EQ(got.a_nnz, want.a_nnz) << where;
+  EXPECT_EQ(got.flops, want.flops) << where;
+  EXPECT_EQ(got.tuples, want.tuples) << where;
+  EXPECT_EQ(got.max_row_flops, want.max_row_flops) << where;
+  EXPECT_EQ(got.warp_alu, want.warp_alu) << where;
+  EXPECT_EQ(got.flops_shared, want.flops_shared) << where;
+  EXPECT_EQ(got.flops_global, want.flops_global) << where;
+  EXPECT_EQ(got.b_read_bytes, want.b_read_bytes) << where;
+}
+
+// Every candidate of the one-pass table against the per-candidate oracle,
+// and every swept prediction against predict_breakdown() at that t, with the
+// identity and a non-identity correction.
+void expect_sweep_matches_oracle(const CsrMatrix& a, const CsrMatrix& b,
+                                 const std::string& label) {
+  const HeteroPlatform plat;
+  const std::vector<offset_t> grid = threshold_grid(a, b);
+  const std::vector<ThresholdStats> table = threshold_stats(a, b, grid);
+  ASSERT_EQ(table.size(), grid.size()) << label;
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    const std::string where = label + " t=" + std::to_string(grid[i]);
+    const ThresholdStats want = oracle_stats(a, b, grid[i]);
+    const ThresholdStats& got = table[i];
+    expect_same_stats(got.hh, want.hh, where + " hh");
+    expect_same_stats(got.ll, want.ll, where + " ll");
+    expect_same_stats(got.lh, want.lh, where + " lh");
+    expect_same_stats(got.hl, want.hl, where + " hl");
+    EXPECT_EQ(got.a_high_rows, want.a_high_rows) << where;
+    EXPECT_EQ(got.b_high_rows, want.b_high_rows) << where;
+    EXPECT_EQ(got.b_high_nnz, want.b_high_nnz) << where;
+    EXPECT_EQ(got.b_low_nnz, want.b_low_nnz) << where;
+  }
+  CostCorrection skewed;
+  skewed.cpu = 1.3;
+  skewed.gpu = 0.7;
+  skewed.h2d = 1.1;
+  skewed.d2h = 0.9;
+  for (const CostCorrection& corr : {CostCorrection{}, skewed}) {
+    const ThresholdSweep sweep = sweep_thresholds(a, b, plat, corr);
+    ASSERT_EQ(sweep.grid, grid) << label;
+    for (std::size_t i = 0; i < grid.size(); ++i) {
+      EXPECT_EQ(sweep.predicted_s[i],
+                predict_breakdown(a, b, grid[i], plat, corr).total_s)
+          << label << " t=" << grid[i] << " cpu=" << corr.cpu;
+    }
+  }
+}
+
+TEST(ThresholdStats, MatchesOracleOnTableOneAnalogues) {
+  for (const DatasetSpec& spec : table1_datasets()) {
+    const CsrMatrix m = make_dataset(spec, 0.02);
+    expect_sweep_matches_oracle(m, m, spec.name);
+  }
+}
+
+TEST(ThresholdStats, MatchesOracleAcrossAlpha) {
+  for (const double alpha : {2.1, 2.7, 3.3}) {
+    PowerLawGenConfig cfg;
+    cfg.rows = 1000;
+    cfg.target_nnz = 8000;
+    cfg.alpha = alpha;
+    cfg.seed = 74;
+    const CsrMatrix m = generate_power_law_matrix(cfg);
+    expect_sweep_matches_oracle(m, m, "alpha=" + std::to_string(alpha));
+  }
+}
+
+TEST(ThresholdStats, MatchesOracleOnUnionGridOfDistinctOperands) {
+  PowerLawGenConfig ca;
+  ca.rows = 800;
+  ca.target_nnz = 9000;
+  ca.alpha = 2.1;
+  ca.seed = 75;
+  PowerLawGenConfig cb = ca;
+  cb.target_nnz = 3000;
+  cb.alpha = 3.0;
+  cb.seed = 76;
+  const CsrMatrix a = generate_power_law_matrix(ca);
+  const CsrMatrix b = generate_power_law_matrix(cb);
+  const std::size_t grid = threshold_grid(a, b).size();
+  ASSERT_GT(grid, threshold_candidates(a).size());
+  ASSERT_GT(grid, threshold_candidates(b).size());
+  expect_sweep_matches_oracle(a, b, "A!=B");
+}
+
+TEST(ThresholdStats, SharedAccumulatorCapSplitsEveryCandidate) {
+  // A cap well inside the row-flops range puts rows on both sides of the
+  // shared/global split, in every product.
+  const std::int64_t original = shared_accum_cap();
+  set_shared_accum_cap(8);
+  const CsrMatrix m = make_dataset(dataset_spec("web-Google"), 0.02);
+  expect_sweep_matches_oracle(m, m, "cap=8");
+  set_shared_accum_cap(original);
+}
+
+TEST(ThresholdStats, RejectsAnUnsortedGrid) {
+  const CsrMatrix m = test::random_csr(20, 20, 0.2, 77);
+  const offset_t unsorted[] = {4, 2};
+  const offset_t repeated[] = {3, 3};
+  EXPECT_THROW(threshold_stats(m, m, unsorted), CheckError);
+  EXPECT_THROW(threshold_stats(m, m, repeated), CheckError);
 }
 
 // Property (paper §III-A vs §VI): on generated scale-free matrices the
