@@ -26,7 +26,7 @@ bool ends_with(const char* s, const char* suffix) {
 }
 
 // A placement whose span was burnt by an injected fault: failed transfer
-// attempts ("h2d-input-fault", "wave-h2d-input-fault", "d2h-tuples-fault")
+// attempts ("wave-h2d-input-fault", "d2h-tuples-fault")
 // and aborted kernels ("phase2-gpu-abort", "phase3-gpu-abort").
 bool is_fault_stage(const char* stage) {
   return ends_with(stage, "-fault") || ends_with(stage, "-abort");

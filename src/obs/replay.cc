@@ -57,7 +57,9 @@ std::string ReplayRunReport::to_json() const {
   if (slowest.empty()) {
     os << "null";
   } else {
-    os << "\"" << slowest << "\"";
+    os << "\"";
+    append_escaped(os, slowest);  // embeds the request label
+    os << "\"";
   }
   os << "}";
   return os.str();

@@ -127,7 +127,9 @@ std::string SloMonitor::to_json() const {
     const SloObjective& o = objectives_[i];
     const State& st = states_[i];
     if (i > 0) os << ",";
-    os << "{\"name\":\"" << o.name << "\",\"target\":" << jnum(o.target)
+    os << "{\"name\":\"";
+    append_escaped(os, o.name);
+    os << "\",\"target\":" << jnum(o.target)
        << ",\"window\":" << o.window
        << ",\"latency_threshold_s\":" << jnum(o.latency_threshold_s)
        << ",\"burn_alert\":" << jnum(o.burn_alert) << ",\"good\":" << st.good

@@ -49,7 +49,9 @@ std::string MetricsTimeline::to_json() const {
   for (std::size_t si = 0; si < series_.size(); ++si) {
     const Series& s = series_[si];
     if (si > 0) os << ",";
-    os << "\"" << s.name << "\":{\"kind\":\"" << s.kind << "\",\"values\":[";
+    os << "\"";
+    append_escaped(os, s.name);
+    os << "\":{\"kind\":\"" << s.kind << "\",\"values\":[";
     for (std::size_t i = 0; i < s.values.size(); ++i) {
       os << (i ? "," : "") << jnum(s.values[i]);
     }

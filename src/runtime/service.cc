@@ -9,7 +9,6 @@
 #include "core/hh_stages.hpp"
 #include "core/partition_plan.hpp"
 #include "core/threshold.hpp"
-#include "fault/checksum.hpp"
 #include "obs/recorder.hpp"
 #include "obs/slo.hpp"
 #include "trace/flame.hpp"
@@ -41,9 +40,6 @@ struct DeviceOpSpec {
 constexpr DeviceOpSpec kWaveUpload{
     "wave-h2d-input", "wave-h2d-input-fault", "wave-h2d-input-corrupt",
     &FaultRecoveryStats::h2d_faults, "h2d-fault", "h2d-corrupt", "retry-h2d"};
-constexpr DeviceOpSpec kUpload{
-    "h2d-input", "h2d-input-fault", "h2d-input-corrupt",
-    &FaultRecoveryStats::h2d_faults, "h2d-fault", "h2d-corrupt", "retry-h2d"};
 constexpr DeviceOpSpec kPhase2Gpu{
     "phase2-gpu", "phase2-gpu-abort", "phase2-gpu-abort",
     &FaultRecoveryStats::gpu_aborts, "gpu-abort", "gpu-abort", "retry-gpu"};
@@ -73,6 +69,12 @@ struct OpResult {
   StageSpan last;  // the final attempt's span
   OpOutcome outcome;
 };
+
+// The matrices a request ships to the device: A, and B unless the product
+// is A×A (then the second slot is null).
+std::array<const CsrMatrix*, 2> operands_of(const SpgemmRequest& r) {
+  return {r.a, r.b != nullptr && r.b != r.a ? r.b : nullptr};
+}
 
 }  // namespace
 
@@ -172,14 +174,12 @@ std::string BatchReport::to_string() const {
   os << "  workspace pool: " << workspace.spa_reuses << "/"
      << workspace.spa_acquires << " SPA reuses, " << workspace.coo_reuses
      << "/" << workspace.coo_acquires << " tuple-buffer reuses\n";
-  if (wave_enabled) {
-    os << "  waves: " << wave.waves << " over " << wave.wave_requests
-       << " requests; " << wave.uploads << " uploads ("
-       << wave.coalesced_uploads << " coalesced, " << wave.deduped_uploads
-       << " deduped, " << wave.h2d_bytes << " bytes), "
-       << wave.batched_launches << " batched launches, " << wave.evictions
-       << " evictions\n";
-  }
+  os << "  waves: " << wave.waves << " over " << wave.wave_requests
+     << " requests; " << wave.uploads << " uploads ("
+     << wave.coalesced_uploads << " coalesced, " << wave.deduped_uploads
+     << " deduped, " << wave.h2d_bytes << " bytes), "
+     << wave.batched_launches << " batched launches, " << wave.evictions
+     << " evictions\n";
   os << "  critpath: " << critpath.to_string() << "\n";
   if (!flame.empty()) os << "  schedule (glyph = request id, '.' = idle):\n"
                          << flame;
@@ -209,11 +209,9 @@ std::string BatchReport::to_json() const {
      << "},\"workspace\":{\"spa_acquires\":" << workspace.spa_acquires
      << ",\"spa_reuses\":" << workspace.spa_reuses
      << ",\"coo_acquires\":" << workspace.coo_acquires
-     << ",\"coo_reuses\":" << workspace.coo_reuses << "}";
-  // Emitted only when the executor is on: a disabled service's JSON stays
-  // byte-identical to before the wave executor existed.
-  if (wave_enabled) os << ",\"wave\":" << wave.to_json();
-  os << ",\"critpath\":" << critpath.to_json();
+     << ",\"coo_reuses\":" << workspace.coo_reuses << "}"
+     << ",\"wave\":" << wave.to_json()
+     << ",\"critpath\":" << critpath.to_json();
   os << "}";
   return os.str();
 }
@@ -307,7 +305,6 @@ std::size_t SpgemmService::submit(SpgemmRequest request) {
 void SpgemmService::invalidate_inputs() {
   signatures_.clear();
   resident_.clear();
-  wave_resident_.clear();
 }
 
 const MatrixSignature& SpgemmService::signature_of(const CsrMatrix* m) {
@@ -354,15 +351,14 @@ BatchResult SpgemmService::drain() {
   // The one retry loop: run a device op until an attempt succeeds, the
   // deadline passes (`expired`), or the budget's failures reach its limit.
   // A failed attempt bumps the op's fault counter and trace instant; a
-  // corrupt one also runs `on_corrupt`. A retry waits out one backoff —
+  // corrupt one also counts a corruption. A retry waits out one backoff —
   // the geometric ladder over the failure count, or decorrelated jitter
   // carried in the budget's prev_backoff_s. `attempt(n)` performs attempt
   // n (0 = the first try).
   const auto run_device_op = [&](const DeviceOpSpec& spec,
                                  ResourceTimeline& tl, double earliest,
                                  const RetryBudget& b, auto&& attempt,
-                                 auto&& expired,
-                                 auto&& on_corrupt) -> OpResult {
+                                 auto&& expired) -> OpResult {
     int n = 0;
     for (;;) {
       const DeviceAttempt at = attempt(n++);
@@ -380,10 +376,7 @@ BatchResult SpgemmService::drain() {
                        at.corrupt ? spec.corrupt_instant : spec.fault_instant,
                        s.resource, s.end_s, at.op);
       }
-      if (at.corrupt) {
-        b.stats.corruptions++;
-        on_corrupt(s, at);
-      }
+      if (at.corrupt) b.stats.corruptions++;
       if (b.failures != nullptr) ++*b.failures;
       const int failed = b.failures != nullptr ? *b.failures : faults;
       if (expired(s.end_s)) return {s, OpOutcome::kCancelled};
@@ -411,32 +404,28 @@ BatchResult SpgemmService::drain() {
     }
   };
   const auto no_deadline = [](double) { return false; };
-  const auto no_corrupt_hook = [](const StageSpan&, const DeviceAttempt&) {};
 
   // ---- Wave formation (Config::wave, runtime/wave.hpp): group the queue,
-  // in submit order, into waves of requests that share operands by content
-  // signature. Disabled, none of the wave code below runs and the drain is
-  // the legacy per-request loop, byte for byte.
-  const bool wave_on = config_.wave.enabled;
+  // in submit order, into waves of requests that share operands. Operands
+  // are identified by pointer, as residency is (see submit()). With the
+  // executor off every request is a wave of one.
   std::vector<WaveBounds> wave_bounds;
-  if (wave_on && !queue_.empty()) {
-    std::unordered_map<MatrixSignature, std::uint32_t, MatrixSignatureHash>
-        dense_ids;
+  {
+    std::unordered_map<const CsrMatrix*, std::uint32_t> dense_ids;
+    const auto id_of = [&](const CsrMatrix* m) {
+      return dense_ids
+          .emplace(m, static_cast<std::uint32_t>(dense_ids.size()))
+          .first->second;
+    };
     std::vector<std::array<std::uint32_t, 2>> operand_ids;
     operand_ids.reserve(queue_.size());
     for (const SpgemmRequest& wr : queue_) {
-      const auto id_of = [&](const CsrMatrix* m) {
-        return dense_ids
-            .emplace(signature_of(m),
-                     static_cast<std::uint32_t>(dense_ids.size()))
-            .first->second;
-      };
-      const CsrMatrix* pb = wr.b != nullptr ? wr.b : wr.a;
-      const std::uint32_t ia = id_of(wr.a);
-      operand_ids.push_back({ia, pb != wr.a ? id_of(pb) : ia});
+      operand_ids.push_back(
+          {id_of(wr.a), id_of(wr.b != nullptr ? wr.b : wr.a)});
     }
-    wave_bounds = form_waves(operand_ids, config_.wave.max_requests,
-                             config_.wave.max_operands);
+    wave_bounds = form_waves(
+        operand_ids, config_.wave.enabled ? config_.wave.max_requests : 1,
+        config_.wave.max_operands);
   }
   WaveStats wstats;
 
@@ -445,7 +434,6 @@ BatchResult SpgemmService::drain() {
   // spans/faults attributed to its first user.
   struct WaveOperand {
     const CsrMatrix* m = nullptr;
-    MatrixSignature sig;
     std::size_t first_req = 0;  // queue index of the first user
     int refs = 0;               // users among the wave's requests
     double ready_s = 0;         // device copy usable from here on
@@ -456,8 +444,7 @@ BatchResult SpgemmService::drain() {
     FaultRecoveryStats faults;
   };
   std::vector<WaveOperand> wave_ops;
-  std::unordered_map<MatrixSignature, std::size_t, MatrixSignatureHash>
-      wave_op_index;
+  std::unordered_map<const CsrMatrix*, std::size_t> wave_op_index;
   bool wave_gpu_lead_done = false;  // first healthy launch pays the overhead
   std::size_t wave_idx = 0;
 
@@ -480,18 +467,13 @@ BatchResult SpgemmService::drain() {
                   std::max({cpu.now(), gpu.now(), h2d.now(), d2h.now()}));
     }
     for (std::size_t r = wb.begin; r < wb.end; ++r) {
-      const SpgemmRequest& rq = queue_[r];
-      if (rq.options.matrices_already_on_gpu) continue;
-      const CsrMatrix* prb = rq.b != nullptr ? rq.b : rq.a;
-      const CsrMatrix* operands[2] = {rq.a, prb != rq.a ? prb : nullptr};
-      for (const CsrMatrix* m : operands) {
+      if (queue_[r].options.matrices_already_on_gpu) continue;
+      for (const CsrMatrix* m : operands_of(queue_[r])) {
         if (m == nullptr) continue;
-        const MatrixSignature& sig = signature_of(m);
-        const auto [it, fresh] = wave_op_index.emplace(sig, wave_ops.size());
+        const auto [it, fresh] = wave_op_index.emplace(m, wave_ops.size());
         if (fresh) {
           WaveOperand op;
           op.m = m;
-          op.sig = sig;
           op.first_req = r;
           wave_ops.push_back(std::move(op));
         }
@@ -500,9 +482,9 @@ BatchResult SpgemmService::drain() {
     }
     std::vector<std::size_t> pending;
     for (std::size_t k = 0; k < wave_ops.size(); ++k) {
-      const auto rit = wave_resident_.find(wave_ops[k].sig);
-      if (rit != wave_resident_.end()) {
-        rit->second.refs += wave_ops[k].refs;  // already on device: reuse
+      const auto rit = resident_.find(wave_ops[k].m);
+      if (rit != resident_.end()) {
+        rit->second += wave_ops[k].refs;  // already on device: reuse
       } else {
         pending.push_back(k);
       }
@@ -510,8 +492,7 @@ BatchResult SpgemmService::drain() {
     if (pending.empty()) return;
     const auto complete_upload = [&](WaveOperand& op, double ready) {
       op.ready_s = ready;
-      wave_resident_.emplace(op.sig,
-                             WaveResident{matrix_checksum(*op.m), op.refs});
+      resident_.emplace(op.m, op.refs);
       wstats.uploads++;
       wstats.deduped_uploads += op.refs - 1;
       wstats.h2d_bytes += static_cast<std::int64_t>(op.m->byte_size());
@@ -550,7 +531,8 @@ BatchResult SpgemmService::drain() {
     }
     // Fault fallback: sequential per-operand retries. Every attempt after
     // the first re-arbitrates the link, so it pays lead (full-latency)
-    // costing.
+    // costing. A corrupt attempt is re-sent like a failed one; the damaged
+    // copy never becomes resident, as only a clean upload is recorded.
     double chain = 0;
     for (std::size_t k = 0; k < pending.size(); ++k) {
       WaveOperand& op = wave_ops[pending[k]];
@@ -567,18 +549,7 @@ BatchResult SpgemmService::drain() {
                           : platform_.link().h2d().matrix_transfer_attempt(
                                 *op.m, fi);
           },
-          no_deadline,
-          [&](const StageSpan& s, const DeviceAttempt& at) {
-            // Never reuse a damaged device copy: any resident entry under
-            // this signature is evicted mid-wave before the re-upload.
-            if (wave_resident_.erase(op.sig) > 0) {
-              wstats.evictions++;
-              if (tr != nullptr) {
-                tr->instant_on(TraceCategory::kWave, "wave-evict-corrupt",
-                               Resource::kH2D, s.end_s, at.op);
-              }
-            }
-          });
+          no_deadline);
       chain = r.last.end_s;
       if (r.outcome == OpOutcome::kOk) {
         complete_upload(op, r.last.end_s);
@@ -592,8 +563,7 @@ BatchResult SpgemmService::drain() {
   };
 
   for (std::size_t i = 0; i < queue_.size(); ++i) {
-    if (wave_on && wave_idx < wave_bounds.size() &&
-        i == wave_bounds[wave_idx].begin) {
+    if (wave_idx < wave_bounds.size() && i == wave_bounds[wave_idx].begin) {
       // Placements from here to the next wave boundary (the preamble uploads
       // and every member request's stages) carry this wave's index.
       plog.set_wave(static_cast<int>(wave_idx));
@@ -744,64 +714,30 @@ BatchResult SpgemmService::drain() {
     rr.spans.push_back(analyze);
     if (past_deadline(analyze.end_s)) cancelled = true;
 
-    // ---- Input transfer on the H2D channel; resident operands skip it.
-    // Each non-resident operand is uploaded with bounded retries: a hard
-    // failure wastes part of the transfer, a corruption spends the whole
-    // transfer and is caught by checksum verification (the damaged device
-    // copy is never memoized as resident). Retry exhaustion flips the
-    // request to the CPU-only path — no GPU, no PCIe.
+    // ---- Input transfer: the wave preamble already uploaded every operand
+    // that was not resident. Collect this request's readiness gate, take the
+    // upload spans and faults of the operands it is the first user of, and
+    // degrade it if an operand's upload retries were exhausted (the CPU-only
+    // path needs no GPU and no PCIe).
     const bool on_gpu = req.options.matrices_already_on_gpu;
     double tx_in_total = 0;
     // When this request's operands are all usable on the device (uploads
     // done, or nothing to ship). Gates the GPU-side stages below.
     double tx_gate = rr.submit_s;
-    StageSpan tx_in_last{"h2d-input", Resource::kH2D, rr.submit_s,
-                         rr.submit_s};
-    if (wave_on) {
-      // Wave mode: the uploads already ran in the wave preamble. Collect
-      // this request's readiness gate, attribute each operand's upload
-      // spans/faults to its first user, and degrade every user of an
-      // operand whose upload retries were exhausted.
-      if (!on_gpu) {
-        const CsrMatrix* operands[2] = {req.a, pb != req.a ? pb : nullptr};
-        for (const CsrMatrix* m : operands) {
-          if (m == nullptr) continue;
-          WaveOperand& op = wave_ops[wave_op_index.at(signature_of(m))];
-          tx_gate = std::max(tx_gate, op.ready_s);
-          if (op.first_req == i) {
-            for (const StageSpan& s : op.spans) rr.spans.push_back(s);
-            rr.faults.accumulate(op.faults);
-            tx_in_total += op.attributed_s;
-          }
-          if (op.failed && !degraded) degrade(op.failed_at);
+    if (!on_gpu) {
+      for (const CsrMatrix* m : operands_of(req)) {
+        if (m == nullptr) continue;
+        const WaveOperand& op = wave_ops[wave_op_index.at(m)];
+        tx_gate = std::max(tx_gate, op.ready_s);
+        if (op.first_req == i) {
+          for (const StageSpan& s : op.spans) rr.spans.push_back(s);
+          rr.faults.accumulate(op.faults);
+          tx_in_total += op.attributed_s;
         }
-        if (!cancelled && past_deadline(tx_gate)) cancelled = true;
+        if (op.failed && !degraded) degrade(op.failed_at);
       }
-    } else if (!cancelled && !on_gpu) {
-      const CsrMatrix* operands[2] = {req.a, pb != req.a ? pb : nullptr};
-      for (const CsrMatrix* m : operands) {
-        if (m == nullptr || resident_.count(m) != 0) continue;
-        int failures = 0;
-        const OpResult r = run_device_op(
-            kUpload, h2d, rr.submit_s,
-            RetryBudget{rr.faults, rr.spans, &tx_in_total, &failures,
-                        rp.max_attempts, prev_backoff_s},
-            [&](int) {
-              return platform_.link().h2d().matrix_transfer_attempt(*m, fi);
-            },
-            past_deadline,
-            [&](const StageSpan&, const DeviceAttempt&) {
-              resident_.erase(m);  // never reuse a damaged device copy
-            });
-        if (r.last.end_s > tx_in_last.end_s) tx_in_last = r.last;
-        if (r.outcome == OpOutcome::kOk && config_.keep_inputs_resident) {
-          resident_.emplace(m, matrix_checksum(*m));
-        }
-        settle(r);
-        if (cancelled || degraded) break;
-      }
+      if (!cancelled && past_deadline(tx_gate)) cancelled = true;
     }
-    if (!wave_on) tx_gate = tx_in_last.end_s;
     rr.inputs_resident = tx_in_total == 0;
     rep.transfer_in_s = tx_in_total;
 
@@ -831,20 +767,20 @@ BatchResult SpgemmService::drain() {
       gpu2 = StageSpan{"phase2-gpu", Resource::kGpu, analyze.end_s,
                        analyze.end_s};
       if (!cancelled && !degraded && p2.gpu_s > 0) {
-        // In a wave, the first healthy Phase II launch is the lead and
-        // pays the kernel-launch overhead; same-wave followers skip it
-        // (batched costing). rep.phase2_* stay the model times from
-        // run_phase2, so tuner feedback is identical wave-on and -off.
-        const bool lead = !wave_on || !wave_gpu_lead_done;
+        // The wave's first healthy Phase II launch is the lead and pays
+        // the kernel-launch overhead; same-wave followers skip it (batched
+        // costing). rep.phase2_* stay the model times from run_phase2, so
+        // tuner feedback does not depend on the wave shape.
+        const bool lead = !wave_gpu_lead_done;
         const OpResult r = run_device_op(
             kPhase2Gpu, gpu, std::max(analyze.end_s, tx_gate), gpu_budget,
             [&](int) {
               return platform_.gpu().kernel_attempt(p2.ll_stats, fi, lead);
             },
-            past_deadline, no_corrupt_hook);
+            past_deadline);
         if (r.outcome == OpOutcome::kOk) {
           gpu2 = r.last;
-          if (wave_on && gpu2.duration_s() > 0) {
+          if (gpu2.duration_s() > 0) {
             if (wave_gpu_lead_done) wstats.batched_launches++;
             wave_gpu_lead_done = true;
           }
@@ -891,7 +827,7 @@ BatchResult SpgemmService::drain() {
               if (at.ok) at.elapsed_s = q.gpu_busy;
               return at;
             },
-            past_deadline, no_corrupt_hook);
+            past_deadline);
         if (r.outcome == OpOutcome::kOk) q_gpu = r.last;
         settle(r);
       }
@@ -911,7 +847,7 @@ BatchResult SpgemmService::drain() {
                 return platform_.link().d2h().tuple_transfer_attempt(
                     gpu_tuples, fi);
               },
-              past_deadline, no_corrupt_hook);
+              past_deadline);
           if (r.outcome == OpOutcome::kOk) tx_out = r.last;
           settle(r);
         }
@@ -1100,18 +1036,17 @@ BatchResult SpgemmService::drain() {
                            rr.finish_s);
     }
 
-    // ---- Wave residency refcounts: this request no longer needs its
-    // operands. With keep_inputs_resident == false the last user's finish
-    // evicts the device copy — mid-wave, when an operand's users all sit
-    // early in the wave.
-    if (wave_on && !on_gpu) {
-      const CsrMatrix* operands[2] = {req.a, pb != req.a ? pb : nullptr};
-      for (const CsrMatrix* m : operands) {
+    // ---- Residency refcounts: this request no longer needs its operands.
+    // With keep_inputs_resident == false the last user's finish evicts the
+    // device copy — mid-wave, when an operand's users all sit early in the
+    // wave.
+    if (!on_gpu) {
+      for (const CsrMatrix* m : operands_of(req)) {
         if (m == nullptr) continue;
-        const auto rit = wave_resident_.find(signature_of(m));
-        if (rit == wave_resident_.end()) continue;
-        if (--rit->second.refs <= 0 && !config_.keep_inputs_resident) {
-          wave_resident_.erase(rit);
+        const auto rit = resident_.find(m);
+        if (rit == resident_.end()) continue;
+        if (--rit->second <= 0 && !config_.keep_inputs_resident) {
+          resident_.erase(rit);
           wstats.evictions++;
           if (tr != nullptr) {
             tr->instant(TraceCategory::kWave, "wave-evict", rr.finish_s);
@@ -1127,8 +1062,7 @@ BatchResult SpgemmService::drain() {
     out.requests.push_back(std::move(rr));
     if (tr != nullptr) tr->end_request();
     plog.end_request();
-    if (wave_on && tr != nullptr && wave_idx > 0 &&
-        i + 1 == wave_bounds[wave_idx - 1].end) {
+    if (tr != nullptr && i + 1 == wave_bounds[wave_idx - 1].end) {
       tr->instant(TraceCategory::kWave, "wave-end",
                   std::max({cpu.now(), gpu.now(), h2d.now(), d2h.now()}));
     }
@@ -1149,18 +1083,15 @@ BatchResult SpgemmService::drain() {
   batch.plan_cache = plan_cache_.stats();
   batch.workspace = workspace_.stats();
   batch.backoff_jitter = rp.decorrelated_jitter;
-  batch.wave_enabled = wave_on;
-  if (wave_on) {
-    batch.wave = wstats;
-    metrics_.counter("wave.waves").inc(wstats.waves);
-    metrics_.counter("wave.requests").inc(wstats.wave_requests);
-    metrics_.counter("wave.uploads").inc(wstats.uploads);
-    metrics_.counter("wave.deduped_uploads").inc(wstats.deduped_uploads);
-    metrics_.counter("wave.coalesced_uploads").inc(wstats.coalesced_uploads);
-    metrics_.counter("wave.batched_launches").inc(wstats.batched_launches);
-    metrics_.counter("wave.evictions").inc(wstats.evictions);
-    metrics_.counter("wave.h2d_bytes").inc(wstats.h2d_bytes);
-  }
+  batch.wave = wstats;
+  metrics_.counter("wave.waves").inc(wstats.waves);
+  metrics_.counter("wave.requests").inc(wstats.wave_requests);
+  metrics_.counter("wave.uploads").inc(wstats.uploads);
+  metrics_.counter("wave.deduped_uploads").inc(wstats.deduped_uploads);
+  metrics_.counter("wave.coalesced_uploads").inc(wstats.coalesced_uploads);
+  metrics_.counter("wave.batched_launches").inc(wstats.batched_launches);
+  metrics_.counter("wave.evictions").inc(wstats.evictions);
+  metrics_.counter("wave.h2d_bytes").inc(wstats.h2d_bytes);
 
   // ---- Critical-path profile (obs/critpath.hpp): attribute the makespan.
   {

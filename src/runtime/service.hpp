@@ -13,8 +13,8 @@
 //  - partition-plan cache keyed by sparsity signatures (runtime/plan_cache)
 //    — a hit skips threshold identification;
 //  - operand residency — a matrix already uploaded in this service's
-//    lifetime is not re-shipped (device memory is retained across requests,
-//    and each resident copy carries a checksum from fault/checksum.hpp);
+//    lifetime is not re-shipped (device memory is retained across requests;
+//    residency is keyed by the operand pointer, see submit());
 //  - workspace pooling (spgemm/workspace.hpp) — SPA accumulators and tuple
 //    buffers are recycled instead of reallocated per request.
 //
@@ -22,8 +22,8 @@
 // faults (fault/fault.hpp), the service recovers per request —
 //  - transient GPU kernel aborts and PCIe failures are retried with
 //    exponential backoff and bounded attempts;
-//  - corrupted transfers are detected by checksum, the residency entry is
-//    invalidated, and the operand is re-uploaded;
+//  - a corrupted upload is detected and re-sent; only a clean copy is
+//    recorded as resident;
 //  - after RecoveryPolicy::gpu_failures_before_degrade GPU-side failures
 //    (or transfer-retry exhaustion) the request degrades to the CPU-only
 //    Gustavson path: the GPU's share is re-charged on the CPU timeline and
@@ -145,11 +145,8 @@ struct BatchReport {
   double d2h_busy_s = 0;
   PlanCache::Stats plan_cache;
   WorkspacePool::Stats workspace;
-  // Wave-executor accounting (runtime/wave.hpp). wave_enabled echoes
-  // Config::wave.enabled; when false the stats stay zero and to_string /
-  // to_json omit them entirely, keeping disabled reports byte-identical to
-  // before the executor existed.
-  bool wave_enabled = false;
+  // Wave accounting (runtime/wave.hpp). Every drain runs in waves; with
+  // the executor off each request is a wave of one.
   WaveStats wave;
   // Critical-path profile (obs/critpath.hpp): every drain attributes its
   // makespan to cpu/gpu/h2d/d2h/idle and decomposes each request's latency.
@@ -198,12 +195,12 @@ class SpgemmService {
     std::size_t admission_capacity = 0;  // max pending; 0 = unbounded
     double default_deadline_s = 0;       // per-request default; 0 = none
     // Batched wave executor (runtime/wave.hpp, docs/runtime.md): drain()
-    // groups requests sharing operands (by content signature) into waves,
-    // uploads each distinct operand once per wave under a refcount,
-    // coalesces the wave's H2D transfers into one block reservation, and
-    // batches same-wave Phase II GPU launches. Output bits are unchanged;
-    // disabled (the default), the service behaves — reports included —
-    // byte-identically to before the executor existed.
+    // groups requests sharing operands (by pointer) into waves, uploads
+    // each distinct operand once per wave under a refcount, coalesces the
+    // wave's H2D transfers into one block reservation, and batches
+    // same-wave Phase II GPU launches. Output bits are unchanged. Disabled
+    // (the default), every request is a wave of one: the same upload path
+    // with max_requests == 1.
     WaveConfig wave;
     // Online autotuning (src/tune/, docs/tuning.md): measured-feedback
     // refinement of cached thresholds plus cost-model calibration. Off by
@@ -297,20 +294,10 @@ class SpgemmService {
   std::int64_t shed_at_last_drain_ = 0;
   // Host-side memos, keyed by operand identity (see submit() contract).
   std::unordered_map<const CsrMatrix*, MatrixSignature> signatures_;
-  // Device residency: operand → checksum of the uploaded copy.
-  std::unordered_map<const CsrMatrix*, std::uint64_t> resident_;
-  // Wave-mode residency, keyed by content signature so pointer-distinct but
-  // bit-identical operands share one device copy. `refs` counts the
-  // not-yet-finished users in the current drain; with
-  // keep_inputs_resident == false an entry is evicted when refs reaches
-  // zero. Kept separate from the pointer-keyed map above so enabling the
-  // wave flag cannot change the legacy path's residency decisions.
-  struct WaveResident {
-    std::uint64_t checksum = 0;
-    int refs = 0;
-  };
-  std::unordered_map<MatrixSignature, WaveResident, MatrixSignatureHash>
-      wave_resident_;
+  // Device residency: uploaded operand → its users not yet finished in the
+  // current drain. With keep_inputs_resident == false an entry is evicted
+  // when that count reaches zero.
+  std::unordered_map<const CsrMatrix*, int> resident_;
 };
 
 }  // namespace hh

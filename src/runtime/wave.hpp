@@ -4,8 +4,8 @@
 // ring's signature affinity creates) pays redundant PCIe traffic and
 // per-request kernel-launch overhead when every request is scheduled
 // independently. The wave executor (SpgemmService::Config::wave,
-// docs/runtime.md) groups drained requests that share an operand — by
-// content signature, not pointer identity — into waves:
+// docs/runtime.md) groups drained requests that share an operand — the
+// same CsrMatrix object — into waves:
 //   - each distinct operand is uploaded once per wave and held under a
 //     refcount until its last user finishes (cross-request residency dedup
 //     with refcounted eviction);
@@ -17,8 +17,8 @@
 //     GpuSim::kernel_attempt).
 // Output bits never change: numeric work still executes host-side with the
 // same decomposition, so every request stays bit-identical to the serial
-// reference. With `enabled == false` none of this code runs and the service
-// behaves — reports included — byte-identically to before the knob existed.
+// reference. The wave preamble is drain()'s only upload path: with
+// `enabled == false` every request is a wave of one (max_requests == 1).
 #pragma once
 
 #include <array>
@@ -31,19 +31,19 @@ namespace hh {
 
 /// Knobs of the batched wave executor (off by default).
 struct WaveConfig {
-  bool enabled = false;
+  bool enabled = false;  // false = waves of one, whatever max_requests says
   // Requests per wave. The cap is strict — max_requests == 1 degenerates to
-  // single-request waves (the legacy schedule plus wave bookkeeping).
+  // single-request waves, the schedule of a disabled executor.
   // 0 = unbounded.
   std::size_t max_requests = 16;
-  // Distinct operands (by content signature) per wave: bounds the device
+  // Distinct operands (by pointer) per wave: bounds the device
   // memory a wave pins. A request whose operands are all already in the
   // wave adds no pressure and joins past this cap. 0 = unbounded.
   std::size_t max_operands = 8;
 };
 
 /// Per-drain wave accounting, reported in BatchReport (and aggregated per
-/// shard) only when the executor is enabled.
+/// shard).
 struct WaveStats {
   std::int64_t waves = 0;
   std::int64_t wave_requests = 0;      // requests executed through waves

@@ -31,14 +31,12 @@ std::string GroupBatchReport::to_string() const {
      << " corrupt), cpu stalls " << faults.cpu_stalls << "; retries "
      << faults.retries << ", backoff " << ms(faults.backoff_s)
      << (backoff_jitter ? " (decorrelated jitter)" : "") << "\n";
-  if (wave_enabled) {
-    os << "  waves: " << wave.waves << " over " << wave.wave_requests
-       << " requests; " << wave.uploads << " uploads ("
-       << wave.coalesced_uploads << " coalesced, " << wave.deduped_uploads
-       << " deduped, " << wave.h2d_bytes << " bytes), "
-       << wave.batched_launches << " batched launches, " << wave.evictions
-       << " evictions\n";
-  }
+  os << "  waves: " << wave.waves << " over " << wave.wave_requests
+     << " requests; " << wave.uploads << " uploads ("
+     << wave.coalesced_uploads << " coalesced, " << wave.deduped_uploads
+     << " deduped, " << wave.h2d_bytes << " bytes), "
+     << wave.batched_launches << " batched launches, " << wave.evictions
+     << " evictions\n";
   os << "  critpath: " << critpath.to_string() << "\n";
   for (const ShardReport& s : shard_reports) {
     os << "  shard " << s.shard << " [" << s.breaker << "]: " << s.assigned
@@ -67,11 +65,9 @@ std::string GroupBatchReport::to_json() const {
      << ",\"p50_latency_s\":" << jnum(p50_latency_s)
      << ",\"p95_latency_s\":" << jnum(p95_latency_s)
      << ",\"p99_latency_s\":" << jnum(p99_latency_s)
-     << ",\"faults\":" << faults.to_json();
-  // Wave fields appear only when the executor is on, keeping disabled
-  // groups' JSON byte-identical to before the executor existed.
-  if (wave_enabled) os << ",\"wave\":" << wave.to_json();
-  os << ",\"critpath\":" << critpath.to_json();
+     << ",\"faults\":" << faults.to_json()
+     << ",\"wave\":" << wave.to_json()
+     << ",\"critpath\":" << critpath.to_json();
   os << ",\"backoff_jitter\":" << jbool(backoff_jitter)
      << ",\"shard_reports\":[";
   for (std::size_t i = 0; i < shard_reports.size(); ++i) {
@@ -92,8 +88,8 @@ std::string GroupBatchReport::to_json() const {
        << ",\"evictions\":" << s.plan_cache.evictions
        << ",\"overwrites\":" << s.plan_cache.overwrites
        << ",\"quarantines\":" << s.plan_cache.quarantines << "}";
-    if (wave_enabled) os << ",\"wave\":" << s.wave.to_json();
-    os << ",\"critpath\":" << s.critpath.to_json();
+    os << ",\"wave\":" << s.wave.to_json()
+       << ",\"critpath\":" << s.critpath.to_json();
     os << "}";
   }
   os << "]}";

@@ -201,7 +201,9 @@ std::string MetricsRegistry::to_json() const {
   for (const Entry& e : order_) {
     if (!first) os << ",";
     first = false;
-    os << "\"" << e.name << "\":";
+    os << "\"";
+    append_escaped(os, e.name);
+    os << "\":";
     switch (e.kind) {
       case Kind::kCounter:
         os << counters_[e.index].value();

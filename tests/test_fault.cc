@@ -629,7 +629,6 @@ TEST_F(FaultRecoveryTest, WaveFaultedBatchStaysBitIdenticalAndEvictsMidWave) {
   // The rates above make a fault-free run astronomically unlikely.
   EXPECT_GT(batch.batch.faults.total_faults(), 0);
   // Two operands per wave, deduped and then dropped at refcount zero.
-  EXPECT_TRUE(batch.batch.wave_enabled);
   EXPECT_GE(batch.batch.wave.deduped_uploads, 1);
   EXPECT_GE(batch.batch.wave.evictions, 2);
   EXPECT_EQ(service.workspace_pool().stats().spa_live, 0);
@@ -744,8 +743,8 @@ TEST_P(GoldenScheduleTest, FaultedBatchScheduleMatchesGoldenDigest) {
 
 INSTANTIATE_TEST_SUITE_P(
     Pinned, GoldenScheduleTest,
-    testing::Values(GoldenCase{false, false, 0x39b339bccca939d1ULL},
-                    GoldenCase{false, true, 0xa9de53a81bbf40e0ULL},
+    testing::Values(GoldenCase{false, false, 0x868740ac421f2c85ULL},
+                    GoldenCase{false, true, 0xe04d275946bb573aULL},
                     GoldenCase{true, false, 0x2aa00c5ee73bc393ULL},
                     GoldenCase{true, true, 0x3336afec9f3d3441ULL}),
     [](const testing::TestParamInfo<GoldenCase>& info) {

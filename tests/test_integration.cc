@@ -4,6 +4,7 @@
 
 #include "core/baselines.hpp"
 #include "core/hh_cpu.hpp"
+#include "fault/checksum.hpp"
 #include "gen/datasets.hpp"
 #include "powerlaw/fit.hpp"
 #include "sparse/mm_io.hpp"
@@ -64,6 +65,26 @@ TEST(Integration, ScaledPlatformRunsFullAlgorithm) {
   const RunResult res = run_hh_cpu(a, a, {}, plat, pool);
   EXPECT_GT(res.report.total_s, 0);
   EXPECT_GT(res.c.nnz(), 0);
+  set_shared_accum_cap(kSharedAccumCap);  // restore for other tests
+}
+
+TEST(Integration, Table1OutputDigestIsPinned) {
+  // Pins every output bit of HH-CPU over the 12 Table-I analogues: the
+  // matrix_checksum of each A×A product at scale 0.02, chained in table
+  // order. The value was computed once; a change that moves it changed
+  // the numerics, not just the simulated clock. The product must not
+  // depend on the pool size either.
+  for (const std::size_t threads : {1u, 4u}) {
+    ThreadPool pool(threads);
+    const HeteroPlatform plat = make_scaled_platform(0.02);
+    std::uint64_t h = kFnv1aOffset;
+    for (const DatasetSpec& spec : table1_datasets()) {
+      const CsrMatrix m = make_dataset(spec, 0.02);
+      checksum_mix(h, matrix_checksum(run_hh_cpu(m, m, {}, plat, pool).c));
+    }
+    EXPECT_EQ(h, 0xaa8113b5eab7a527ULL)
+        << threads << " threads: computed digest 0x" << std::hex << h;
+  }
   set_shared_accum_cap(kSharedAccumCap);  // restore for other tests
 }
 

@@ -20,6 +20,7 @@
 #include "obs/timeseries.hpp"
 #include "runtime/service.hpp"
 #include "shard/sharded_service.hpp"
+#include "util/json.hpp"
 #include "util/status.hpp"
 
 namespace hh {
@@ -426,15 +427,16 @@ TEST_F(ObsServiceTest, ShardedGroupStampsExecutingShard) {
 
 class ReplayTest : public ObsServiceTest {
  protected:
-  // Record a two-wave production run and return the log.
-  WorkloadLog record_workload() {
+  // Record a two-wave production run and return the log. Request i of a
+  // wave is labelled `label` + i.
+  WorkloadLog record_workload(const std::string& label = "r") {
     WorkloadRecorder rec;
     SpgemmService::Config cfg;
     cfg.recorder = &rec;
     SpgemmService service(plat_, pool_, cfg);
     for (std::size_t wave = 0; wave < 2; ++wave) {
       for (std::size_t i = 0; i < 4; ++i) {
-        service.submit({&mat(i), nullptr, {}, "r" + std::to_string(i)});
+        service.submit({&mat(i), nullptr, {}, label + std::to_string(i)});
       }
       service.drain();
     }
@@ -450,7 +452,12 @@ class ReplayTest : public ObsServiceTest {
 };
 
 TEST_F(ReplayTest, ReplayIsDeterministicAndBitIdentical) {
-  const WorkloadLog log = record_workload();
+  // The labels hold a quote, a backslash and a tab, and are read back from
+  // the log's text: the slowest request's explanation embeds its label, so
+  // the report must escape it.
+  const std::string label = "say \"hi\"\\\tnow";
+  const WorkloadLog log =
+      parse_workload_log(record_workload(label).to_jsonl());
   ASSERT_EQ(log.records.size(), 8u);
 
   ReplayHarness harness(plat_, pool_);
@@ -480,7 +487,11 @@ TEST_F(ReplayTest, ReplayIsDeterministicAndBitIdentical) {
   // Tuning only re-picks thresholds; both passes multiply the same
   // matrices, so the digests cover the same products either way.
   EXPECT_FALSE(r1.to_string().empty());
-  EXPECT_FALSE(r1.to_json().empty());
+  const JsonValue j = parse_json(r1.to_json(), "replay report");
+  ASSERT_FALSE(r1.untuned.slowest.empty());
+  const std::string& slowest = j.at("untuned").at("slowest").str();
+  EXPECT_EQ(slowest, r1.untuned.slowest);
+  EXPECT_NE(slowest.find("(" + label), std::string::npos) << slowest;
 }
 
 TEST_F(ReplayTest, ClosedLoopIsAtLeastAsFastAsOpenLoop) {

@@ -4,13 +4,18 @@
 
 #include <array>
 #include <cstdint>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "core/hh_cpu.hpp"
+#include "fault/checksum.hpp"
 #include "gen/datasets.hpp"
+#include "runtime/signature.hpp"
 #include "runtime/timeline.hpp"
 #include "runtime/wave.hpp"
 #include "test_util.hpp"
+#include "trace/perfetto_export.hpp"
 #include "util/status.hpp"
 
 namespace hh {
@@ -468,7 +473,6 @@ TEST_F(ServiceTest, WaveOutputsBitIdenticalAndUploadsDeduped) {
     expect_bit_identical(p.results[i].c, w.results[i].c,
                          "wave vs plain " + std::to_string(i));
   }
-  EXPECT_TRUE(w.batch.wave_enabled);
   EXPECT_GT(w.batch.wave.waves, 0);
   EXPECT_EQ(w.batch.wave.wave_requests,
             static_cast<std::int64_t>(std::size(mats)));
@@ -480,53 +484,107 @@ TEST_F(ServiceTest, WaveOutputsBitIdenticalAndUploadsDeduped) {
   EXPECT_NE(w.batch.to_json().find("\"wave\":{"), std::string::npos);
 }
 
-TEST_F(ServiceTest, WaveDisabledReportsByteIdenticalToLegacy) {
-  // The wave knob present-but-disabled must not perturb a single byte of
-  // the reports — including caps differing from the defaults. Workspace
-  // pooling is off in both: its reuse counts depend on worker-thread
-  // timing, not on anything the wave knob controls.
-  SpgemmService::Config base;
-  base.use_workspace_pool = false;
-  SpgemmService::Config off = base;
-  off.wave.enabled = false;
-  off.wave.max_requests = 3;
-  SpgemmService legacy(plat_, pool_, base);
-  SpgemmService gated(plat_, pool_, off);
-  for (SpgemmService* s : {&legacy, &gated}) {
-    s->submit({&wiki_, nullptr, {}, "a"});
-    s->submit({&enron_, nullptr, {}, "b"});
-    s->submit({&wiki_, nullptr, {}, "c"});
+TEST_F(ServiceTest, WaveDisabledIsWavesOfOne) {
+  // A disabled executor runs every request as its own wave: it must render
+  // the same bytes as an enabled one capped at one request per wave —
+  // reports, request views and the trace — whatever the other caps say.
+  // Workspace pooling is off in both: its reuse counts depend on
+  // worker-thread timing, not on anything the wave knobs control.
+  if (!TraceRecorder::compiled_in()) {
+    GTEST_SKIP() << "the comparison covers the trace; tracing compiled out";
   }
-  const BatchResult l = legacy.drain();
-  const BatchResult g = gated.drain();
-  EXPECT_FALSE(g.batch.wave_enabled);
-  EXPECT_EQ(l.batch.to_json(), g.batch.to_json());
-  EXPECT_EQ(l.batch.to_string(), g.batch.to_string());
-  EXPECT_EQ(g.batch.to_json().find("\"wave\""), std::string::npos);
-  ASSERT_EQ(l.requests.size(), g.requests.size());
-  for (std::size_t i = 0; i < l.requests.size(); ++i) {
-    EXPECT_EQ(l.requests[i].to_json(), g.requests[i].to_json());
+  const CsrMatrix wiki_copy = wiki_;  // same bits, another operand
+  const std::vector<std::vector<SpgemmRequest>> inputs = {
+      {{&wiki_, nullptr, {}, "a"},
+       {&enron_, nullptr, {}, "b"},
+       {&wiki_, &wiki_copy, {}, "a*copy"},
+       {&wiki_, nullptr, {}, "c"}},
+      {{&wiki_, nullptr, {}, ""},
+       {&enron_, nullptr, {}, ""},
+       {&wiki_, nullptr, {}, ""}},
+  };
+  for (const std::vector<SpgemmRequest>& input : inputs) {
+    SpgemmService::Config off;
+    off.use_workspace_pool = false;
+    off.wave.max_requests = 3;
+    off.wave.max_operands = 1;
+    SpgemmService::Config ones = off;
+    ones.wave.enabled = true;
+    ones.wave.max_requests = 1;
+    TraceRecorder off_trace;
+    TraceRecorder ones_trace;
+    off_trace.enable();
+    ones_trace.enable();
+    off.trace = &off_trace;
+    ones.trace = &ones_trace;
+    SpgemmService disabled(plat_, pool_, off);
+    SpgemmService single(plat_, pool_, ones);
+    for (SpgemmService* s : {&disabled, &single}) {
+      for (const SpgemmRequest& r : input) s->submit(r);
+    }
+    const BatchResult d = disabled.drain();
+    const BatchResult o = single.drain();
+    EXPECT_EQ(d.batch.to_json(), o.batch.to_json());
+    EXPECT_EQ(d.batch.to_string(), o.batch.to_string());
+    EXPECT_EQ(chrome_trace_json(off_trace), chrome_trace_json(ones_trace));
+    ASSERT_EQ(d.requests.size(), o.requests.size());
+    for (std::size_t i = 0; i < d.requests.size(); ++i) {
+      EXPECT_EQ(d.requests[i].to_json(), o.requests[i].to_json());
+      EXPECT_EQ(d.requests[i].to_string(), o.requests[i].to_string());
+      const CsrMatrix& m = *input[i].a;
+      const CsrMatrix& b = input[i].b != nullptr ? *input[i].b : m;
+      expect_bit_identical(run_hh_cpu(m, b, HhCpuOptions{}, plat_, pool_).c,
+                           d.results[i].c, "wave of one " + std::to_string(i));
+    }
+    // Waves of one: the wave stats are reported, and no upload is batched
+    // behind another request's.
+    EXPECT_EQ(d.batch.wave.waves, static_cast<std::int64_t>(input.size()));
+    EXPECT_EQ(d.batch.wave.deduped_uploads, 0);
+    EXPECT_EQ(d.batch.wave.batched_launches, 0);
+    EXPECT_NE(d.batch.to_json().find("\"wave\":{"), std::string::npos);
   }
 }
 
 TEST_F(ServiceTest, WaveAllDistinctOperandsDedupIsNoOp) {
+  // Distinct operands are each uploaded and charged for, even when their
+  // planning signatures are equal: reversing the column order keeps every
+  // row size, so `flipped` has `wiki`'s signature but other contents.
   const CsrMatrix a = test::random_csr(120, 120, 0.05, 11);
   const CsrMatrix b = test::random_csr(120, 120, 0.05, 12);
   const CsrMatrix c = test::random_csr(120, 120, 0.05, 13);
+  const CsrMatrix wiki = make_dataset(dataset_spec("wiki-Vote"), 0.25);
+  CsrMatrix flipped = wiki;
+  for (index_t r = 0; r < wiki.rows; ++r) {
+    const offset_t lo = wiki.indptr[r];
+    const offset_t hi = wiki.indptr[r + 1];
+    for (offset_t k = lo; k < hi; ++k) {
+      flipped.indices[k] = wiki.cols - 1 - wiki.indices[hi - 1 - (k - lo)];
+      flipped.values[k] = wiki.values[hi - 1 - (k - lo)];
+    }
+  }
+  ASSERT_EQ(matrix_signature(wiki), matrix_signature(flipped));
+  ASSERT_NE(matrix_checksum(wiki), matrix_checksum(flipped));
+
   SpgemmService::Config cfg;
   cfg.wave.enabled = true;
-  SpgemmService service(plat_, pool_, cfg);
-  for (const CsrMatrix* m : {&a, &b, &c}) {
-    service.submit({m, nullptr, {}, ""});
-  }
-  const BatchResult r = service.drain();
-  EXPECT_EQ(r.batch.wave.deduped_uploads, 0);
-  EXPECT_EQ(r.batch.wave.uploads, 3);
-  for (std::size_t i = 0; i < 3; ++i) {
-    const CsrMatrix* m = (i == 0) ? &a : (i == 1) ? &b : &c;
-    const RunResult serial = run_hh_cpu(*m, *m, HhCpuOptions{}, plat_, pool_);
-    expect_bit_identical(serial.c, r.results[i].c,
-                         "distinct " + std::to_string(i));
+  const std::vector<std::vector<const CsrMatrix*>> inputs = {
+      {&a, &b, &c}, {&wiki, &flipped}};
+  for (const std::vector<const CsrMatrix*>& mats : inputs) {
+    SpgemmService service(plat_, pool_, cfg);
+    for (const CsrMatrix* m : mats) service.submit({m, nullptr, {}, ""});
+    const BatchResult r = service.drain();
+    const auto n = static_cast<std::int64_t>(mats.size());
+    EXPECT_EQ(r.batch.wave.waves, 1);
+    EXPECT_EQ(r.batch.wave.uploads, n);
+    EXPECT_EQ(r.batch.wave.deduped_uploads, 0);
+    for (std::size_t i = 0; i < mats.size(); ++i) {
+      const std::string what = "distinct " + std::to_string(i);
+      EXPECT_FALSE(r.requests[i].inputs_resident) << what;
+      EXPECT_GT(r.results[i].report.transfer_in_s, 0) << what;
+      const CsrMatrix& m = *mats[i];
+      expect_bit_identical(run_hh_cpu(m, m, HhCpuOptions{}, plat_, pool_).c,
+                           r.results[i].c, what);
+    }
   }
 }
 
@@ -548,30 +606,6 @@ TEST_F(ServiceTest, WaveRefcountEvictionFiresWithoutStickyResidency) {
   SpgemmService keeper(plat_, pool_, sticky);
   for (int i = 0; i < 4; ++i) keeper.submit({&wiki_, nullptr, {}, ""});
   EXPECT_EQ(keeper.drain().batch.wave.evictions, 0);
-}
-
-TEST_F(ServiceTest, WaveSingleRequestWavesMatchPlainSchedule) {
-  // max_requests == 1 exercises the smallest wave shape: every wave holds
-  // one request, so batching never fires but accounting must still balance.
-  SpgemmService::Config cfg;
-  cfg.wave.enabled = true;
-  cfg.wave.max_requests = 1;
-  SpgemmService service(plat_, pool_, cfg);
-  SpgemmService plain(plat_, pool_);
-  for (SpgemmService* s : {&service, &plain}) {
-    s->submit({&wiki_, nullptr, {}, ""});
-    s->submit({&enron_, nullptr, {}, ""});
-    s->submit({&wiki_, nullptr, {}, ""});
-  }
-  const BatchResult w = service.drain();
-  const BatchResult p = plain.drain();
-  EXPECT_EQ(w.batch.wave.waves, 3);
-  EXPECT_EQ(w.batch.wave.coalesced_uploads, 0);
-  EXPECT_EQ(w.batch.wave.deduped_uploads, 0);
-  for (std::size_t i = 0; i < 3; ++i) {
-    expect_bit_identical(p.results[i].c, w.results[i].c,
-                         "single-wave " + std::to_string(i));
-  }
 }
 
 TEST_F(ServiceTest, WaveReportsAreReplayDeterministic) {
